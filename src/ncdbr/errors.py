@@ -13,6 +13,10 @@ class NotPSD(NcdbrError):
     pass
 
 
+class NotFinite(NcdbrError):
+    """An input holds a NaN or Inf entry."""
+
+
 class DimensionMismatch(NcdbrError):
     pass
 

@@ -19,7 +19,8 @@ from .ncspace import (
     word_apply,
     words_up_to,
 )
-from .numerics import DEFAULT_TOL, orthonormal_range, pinv, psd_sqrt
+from .numerics import DEFAULT_TOL, orthonormal_range, pinv
+from .numerics import _as_complex, _fix_column_phases, _psd_eigenvalues
 from .realization import taylor_coeff
 from .rowcontraction import cnc_rank, defects, julia_matrix
 
@@ -121,16 +122,15 @@ def mult_operator(coeffs, f):
 
 @dataclass(frozen=True)
 class DbrSpace:
-    """Operator-range space of W = sqrt(I - B(L) B(L)*) on the truncation.
+    """Operator-range space Ran (I - B(L) B(L)*)^(1/2) on the truncation.
 
-    range_frame holds ambient-orthonormal coordinates for the space; gram
-    is the operator-range Gram matrix of those coordinates, which defines
-    the space's inner product <a, b> = a* gram b.
+    range_frame holds the ambient-orthonormal eigenvectors of I - B(L) B(L)*
+    for its kept eigenvalues w; gram = diag(1/w) is their operator-range Gram
+    matrix, which defines the space's inner product <a, b> = a* gram b.
     """
 
     ambient: TruncatedFock
     mult: np.ndarray
-    factor: np.ndarray
     range_frame: np.ndarray
     gram: np.ndarray
 
@@ -143,19 +143,22 @@ class DbrSpace:
 
 
 def dbr_space(B_L, ambient, tol=DEFAULT_TOL):
-    """Build the de Branges-Rovnyak space of a truncated multiplier."""
-    B_L = np.asarray(B_L, dtype=complex)
+    """Build the de Branges-Rovnyak space of a truncated multiplier from
+    one eigendecomposition I - B_L B_L* = Q diag(w) Q*: an eigenvector q_k
+    is (I - B_L B_L*)^(1/2) q_k / sqrt(w_k), of operator-range norm 1/sqrt(w_k).
+    """
+    B_L = _as_complex(B_L)
     if B_L.shape[0] != ambient.total_dim:
         raise DimensionMismatch("multiplier rows must match the ambient dimension")
-    if np.linalg.norm(B_L, 2) > 1.0 + 1e-8:
+    H = np.eye(B_L.shape[0]) - B_L @ B_L.conj().T
+    w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
+    # the smallest eigenvalue is 1 - ||B_L||^2
+    if w.size and 1.0 - w[0] > (1.0 + 1e-8) ** 2:
         raise ValueError("truncated multiplier is not contractive")
-    factor = psd_sqrt(np.eye(B_L.shape[0]) - B_L @ B_L.conj().T, tol)
-    frame = orthonormal_range(factor, tol)
-    # element F a equals factor x with x = pinv(factor) F a, and the
-    # operator-range inner product of such elements is <x, x'>
-    lift = pinv(factor, tol) @ frame
-    gram = lift.conj().T @ lift
-    return DbrSpace(ambient=ambient, mult=B_L, factor=factor, range_frame=frame, gram=gram)
+    w = _psd_eigenvalues(w, tol)
+    keep = w > 0.0
+    frame = _fix_column_phases(Q[:, keep], tol)
+    return DbrSpace(ambient=ambient, mult=B_L, range_frame=frame, gram=np.diag(1 / w[keep]))
 
 
 def gleason_extremal(space):
@@ -168,27 +171,21 @@ def gleason_extremal(space):
     f = space.ambient
     _, R = shifts(f)
     F = space.range_frame
-    G = space.gram
-    G_inv = pinv(G)
-    K = f.coeff_dim
+    # gram is diag(1/w), so X_j = diag(w) Xstar_j* diag(1/w)
+    w = 1.0 / space.gram.diagonal()
     X = []
     for Rj in R:
-        back = np.kron(Rj.conj().T, np.eye(K))
+        back = np.kron(Rj.conj().T, np.eye(f.coeff_dim))
         Xstar = F.conj().T @ back @ F
-        X.append(G_inv @ Xstar.conj().T @ G)
+        X.append(w[:, None] * Xstar.conj().T / w)
     return X
 
 
 def _szego_vector(f, Z, g, x, u):
-    g = np.asarray(g, dtype=complex)
     x = np.asarray(x, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    out = np.zeros(f.total_dim, dtype=complex)
-    K = f.coeff_dim
-    for i, w in enumerate(f.words):
-        c = np.conj(x.conj() @ word_apply(Z.coords, w) @ u)
-        out[i * K : (i + 1) * K] = c * g
-    return out
+    coeffs = [np.conj(x.conj() @ word_apply(Z.coords, w) @ u) for w in f.words]
+    return np.kron(coeffs, np.asarray(g, dtype=complex))
 
 
 def kernel_vector(space, Z, g, x, u):
@@ -198,7 +195,8 @@ def kernel_vector(space, Z, g, x, u):
     <g (x) x, f(Z) u> up to the truncation tail.
     """
     sz = _szego_vector(space.ambient, Z, g, x, u)
-    return sz - space.mult @ (space.mult.conj().T @ sz)
+    # (sz* B_L)* is B_L* sz without copying the conjugate of B_L
+    return sz - space.mult @ (sz.conj() @ space.mult).conj()
 
 
 def eval_vector(vec, f, Z):
@@ -248,24 +246,18 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     for w in words_up_to(d, N):
         coeffs[w] = F_out.conj().T @ taylor_coeff(colligation, w) @ F_in
     ambient = TruncatedFock(d=d, N=N, coeff_dim=p)
-    domain = TruncatedFock(d=d, N=N, coeff_dim=q)
     B_L = mult_operator(coeffs, ambient)
-    assert B_L.shape == (ambient.total_dim, domain.total_dim)
+    assert B_L.shape == (ambient.total_dim, ambient.num_words * q)
     space = dbr_space(B_L, ambient, tol)
     X = gleason_extremal(space)
     F = space.range_frame
     G = space.gram
-    G_half = psd_sqrt(G, tol)
+    G_half = np.diag(np.sqrt(G.diagonal()))
 
     # coordinates of K_0 g for the basis vectors g of the output space
-    K0_amb = np.zeros((ambient.total_dim, p), dtype=complex)
-    for gi in range(p):
-        g = np.zeros(p)
-        g[gi] = 1.0
-        K0_amb[:, gi] = kernel_vector(
-            space, sample_ball_point(d, 1, 0.0, 0), g, np.ones(1), np.ones(1)
-        )
-    K0_coord = F.conj().T @ K0_amb
+    Z0 = sample_ball_point(d, 1, 0.0, 0)
+    K0 = [kernel_vector(space, Z0, g, np.ones(1), np.ones(1)) for g in np.eye(p)]
+    K0_coord = F.conj().T @ np.column_stack(K0)
 
     seed_vec = D_Tstar @ F_out
     levels = [1, 2, 2, 1, 2]
@@ -286,12 +278,8 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
             w = _contract_level(np.linalg.solve(pencil_X, rhs_X), n, space.dim, u)
             sources.append(v)
             targets.append(w)
-            g = np.zeros(p)
-            g[gi] = 1.0
-            direct = F.conj().T @ kernel_vector(space, Z, g, x, u)
-            kernel_resid = max(
-                kernel_resid, float(np.linalg.norm(G_half @ (w - direct)))
-            )
+            direct = F.conj().T @ kernel_vector(space, Z, np.eye(p)[gi], x, u)
+            kernel_resid = max(kernel_resid, float(np.linalg.norm(G_half @ (w - direct))))
     V_mat = np.array(sources).T
     W_mat = np.array(targets).T
     U = W_mat @ pinv(V_mat, tol)

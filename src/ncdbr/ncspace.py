@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSimilarity
+from .errors import DimensionMismatch, NotFinite, SingularSimilarity
 from .numerics import DEFAULT_TOL
 
 __all__ = [
@@ -47,6 +47,8 @@ class MatrixTuple:
         for c in coords:
             if c.ndim != 2 or c.shape != (n, n):
                 raise DimensionMismatch("coordinates must be square of equal size")
+            if not np.all(np.isfinite(c)):
+                raise NotFinite("coordinates contain NaN or Inf entries")
         object.__setattr__(self, "coords", coords)
 
     @property

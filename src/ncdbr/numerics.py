@@ -63,17 +63,21 @@ def psd_sqrt(A, tol=DEFAULT_TOL):
     herm_defect = np.linalg.norm(A - A.conj().T, 2) if A.size else 0.0
     if herm_defect > tol.eq_abs:
         raise NotHermitian("Hermitian defect %.3e exceeds eq_abs" % herm_defect)
-    H = (A + A.conj().T) / 2.0
-    w, Q = np.linalg.eigh(H)
+    w, Q = np.linalg.eigh((A + A.conj().T) / 2.0)
+    S = (Q * np.sqrt(_psd_eigenvalues(w, tol))) @ Q.conj().T
+    return (S + S.conj().T) / 2.0
+
+
+def _psd_eigenvalues(w, tol):
+    """PSD policy on ascending Hermitian eigenvalues: NotPSD below -100*eq_abs,
+    else zero every value at or below rank_rel * max(w, 0), so that roots and
+    inverses of noise cannot inflate the rank; the nonzero values are kept."""
     if w.size and w[0] < -100.0 * tol.eq_abs:
         raise NotPSD("minimal eigenvalue %.3e below -100*eq_abs" % w[0])
     w = np.clip(w, 0.0, None)
-    # zero tiny eigenvalues before the root so sqrt noise cannot inflate
-    # the numerical rank of the result
     if w.size and w[-1] > 0.0:
         w[w <= tol.rank_rel * w[-1]] = 0.0
-    S = (Q * np.sqrt(w)) @ Q.conj().T
-    return (S + S.conj().T) / 2.0
+    return w
 
 
 def pinv(A, tol=DEFAULT_TOL):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPartialIsometry, NotPure
+from .errors import DimensionMismatch, NotFinite, NotPartialIsometry, NotPure
 from .numerics import (
     DEFAULT_TOL,
     orthonormal_kernel,
@@ -46,6 +46,8 @@ class RowContraction:
         for T in ops:
             if T.ndim != 2 or T.shape != (m, m):
                 raise DimensionMismatch("operators must be square of equal size")
+            if not np.all(np.isfinite(T)):
+                raise NotFinite("operators contain NaN or Inf entries")
         gram = sum(T @ T.conj().T for T in ops)
         if np.linalg.norm(gram, 2) > 1.0 + 1e-8:
             raise ValueError("row norm exceeds 1 beyond tolerance")
@@ -68,7 +70,6 @@ class RowContraction:
 class IsoPureParts:
     V: RowContraction
     C: RowContraction
-    ker_D_T_projector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def iso_pure_decompose(T, tol=DEFAULT_TOL):
     C_row = T.row() @ (np.eye(m * T.d) - P)
     V = RowContraction(tuple(V_row[:, j * m : (j + 1) * m] for j in range(T.d)))
     C = RowContraction(tuple(C_row[:, j * m : (j + 1) * m] for j in range(T.d)))
-    return IsoPureParts(V=V, C=C, ker_D_T_projector=P)
+    return IsoPureParts(V=V, C=C)
 
 
 def cnc_rank(T, tol=DEFAULT_TOL):

@@ -146,6 +146,19 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_non_finite_entry_exits_two(tmp_path, capsys):
+    # json writes Infinity and NaN, and Python's json reads them back
+    T = tmp_path / "T.json"
+    T.write_text(json.dumps({"ops": [matrix_json([[0.1, np.inf], [0.0, 0.1]])]}))
+    assert main(["cnc-check", "--input", str(T)]) == 2
+    Z = tmp_path / "Z.json"
+    Z.write_text(json.dumps({"matrices": [matrix_json([[np.nan]])]}))
+    assert main(["poly-eval", "--input", str(Z), "--expr", "z1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("NaN or Inf") == 2
+
+
 def test_poly_eval_bad_expr_exits_two(tmp_path, capsys):
     Z = {"matrices": [matrix_json([[0.2]])]}
     path = tmp_path / "Z.json"

@@ -15,6 +15,7 @@ from ncdbr.fock import (
     transpose_unitary,
 )
 from ncdbr.ncspace import FreeWord, sample_ball_point, word_apply
+from ncdbr.numerics import orthonormal_range, pinv, psd_sqrt
 from ncdbr.rowcontraction import RowContraction
 
 JORDAN = RowContraction((np.array([[0.0, 0.0], [1.0, 0.0]]),))
@@ -93,6 +94,70 @@ def test_dbr_space_of_zero_multiplier_is_full():
         assert abs(kv[i] - expected) < 1e-12
     with pytest.raises(ValueError):
         dbr_space(2.0 * np.eye(f.total_dim), f)
+
+
+def _four_step_space(B_L):
+    """Reference construction of the space: the PSD root of I - B_L B_L*,
+    an orthonormal frame of its range, and the Gram matrix of that frame
+    lifted through the root's pseudo-inverse."""
+    factor = psd_sqrt(np.eye(B_L.shape[0]) - B_L @ B_L.conj().T)
+    frame = orthonormal_range(factor)
+    lift = pinv(factor) @ frame
+    return frame, lift.conj().T @ lift
+
+
+def _assert_matches_reference(space, B_L):
+    frame, gram = _four_step_space(B_L)
+    F = space.range_frame
+    assert space.dim == frame.shape[1]
+    assert np.allclose(F.conj().T @ F, np.eye(space.dim), atol=1e-12)
+    gap = F @ space.gram @ F.conj().T - frame @ gram @ frame.conj().T
+    assert np.abs(gap).max() <= 1e-10
+
+
+def test_dbr_space_matches_four_step_reference():
+    # B_L with `ones` unit singular values, so that I - B_L B_L* has a
+    # kernel of that dimension, and the other singular values in [0, 0.9]
+    f = TruncatedFock(d=2, N=2, coeff_dim=2)
+    n = f.total_dim
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        cols = (5, n, 20)[seed % 3]
+        ones = seed % 4
+        U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(
+            rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols))
+        )[0]
+        k = min(n, cols)
+        s = rng.uniform(0.0, 0.9, k)
+        s[:ones] = 1.0
+        B_L = U[:, :k] @ np.diag(s) @ V[:, :k].conj().T
+        space = dbr_space(B_L, f)
+        assert space.dim == n - ones
+        _assert_matches_reference(space, B_L)
+
+
+def test_dbr_space_edge_cases():
+    f = TruncatedFock(d=2, N=2, coeff_dim=2)
+    n = f.total_dim
+    # rank 0: a co-isometric multiplier leaves nothing
+    space = dbr_space(np.eye(n), f)
+    assert space.dim == 0 and space.gram.shape == (0, 0)
+    _assert_matches_reference(space, np.eye(n))
+    # full rank: the zero multiplier gives the ambient space, gram I
+    space = dbr_space(np.zeros((n, 3)), f)
+    assert space.dim == n
+    assert np.allclose(space.gram, np.eye(n))
+    _assert_matches_reference(space, np.zeros((n, 3)))
+    # contractivity boundary: 1e-8 of slack in the norm, no more
+    space = dbr_space((1.0 + 1e-9) * np.eye(n), f)
+    assert space.dim == 0
+    with pytest.raises(ValueError):
+        dbr_space((1.0 + 2e-8) * np.eye(n), f)
+    bad = np.zeros((n, 3))
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        dbr_space(bad, f)
 
 
 def test_eval_vector_oracle():

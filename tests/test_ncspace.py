@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncdbr.errors import DimensionMismatch, SingularSimilarity
+from ncdbr.errors import DimensionMismatch, NotFinite, SingularSimilarity
 from ncdbr.ncspace import (
     FreeWord,
     MatrixTuple,
@@ -28,6 +28,9 @@ def test_matrix_tuple_validation():
         MatrixTuple((np.zeros((2, 2)), np.zeros((3, 3))))
     Z = MatrixTuple((np.eye(2), np.zeros((2, 2))))
     assert Z.d == 2 and Z.n == 2
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0)):
+        with pytest.raises(NotFinite):
+            MatrixTuple((np.eye(2), np.array([[0.0, bad], [0.0, 0.0]])))
 
 
 def test_free_word_monoid():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_contraction, random_partial_isometry
-from ncdbr.errors import DimensionMismatch, NotPartialIsometry, NotPure
+from ncdbr.errors import DimensionMismatch, NotFinite, NotPartialIsometry, NotPure
 from ncdbr.rowcontraction import (
     RowContraction,
     canonical_frames,
@@ -24,6 +24,9 @@ def test_row_contraction_validation():
         RowContraction((np.zeros((2, 3)),))
     with pytest.raises(ValueError):
         RowContraction((np.eye(2) * 1.5,))
+    for bad in (np.inf, -np.inf, np.nan, complex(0.1, np.nan)):
+        with pytest.raises(NotFinite):
+            RowContraction((np.zeros((2, 2)), np.array([[0.1, 0.0], [bad, 0.0]])))
     T = random_contraction(0, 2, 3)
     assert T.d == 2 and T.m == 3 and T.row().shape == (3, 6)
 
