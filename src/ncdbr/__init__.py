@@ -42,7 +42,6 @@ from .ncspace import (
 )
 from .numerics import (
     Tolerance,
-    fit_unitary,
     orthonormal_kernel,
     orthonormal_range,
     pinv,

@@ -18,6 +18,7 @@ from .errors import (
     DenominatorSingular,
     DimensionMismatch,
     NotStrict,
+    OutsideBall,
     SingularPencil,
 )
 from .ncspace import (
@@ -25,15 +26,15 @@ from .ncspace import (
     coeff_lift,
     pencil_tz_star,
     point_block,
+    row_norm,
     sample_ball_point,
     zero_tuple,
 )
-from .numerics import DEFAULT_TOL, fit_unitary, orthonormal_range, pinv, psd_sqrt
+from .numerics import DEFAULT_TOL, _svd_rank, orthonormal_range, pinv, psd_sqrt
 from .rowcontraction import (
+    _frames_defect_point,
     canonical_frames,
-    cnc_rank,
     defects,
-    defect_point,
     iso_pure_decompose,
 )
 
@@ -56,7 +57,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchurSampler:
-    """Evaluatable operator-valued function on the row-ball."""
+    """Evaluatable operator-valued function on the row-ball; a point with
+    row norm >= 1 raises OutsideBall before the evaluator runs."""
 
     d: int
     input_dim: int
@@ -67,6 +69,8 @@ class SchurSampler:
     def __call__(self, Z):
         if Z.d != self.d:
             raise DimensionMismatch("point has d=%d, sampler expects %d" % (Z.d, self.d))
+        if row_norm(Z) >= 1.0:
+            raise OutsideBall("point has row norm %.6g >= 1" % row_norm(Z))
         value = np.asarray(self.evaluator(Z), dtype=complex)
         expected = (self.output_dim * Z.n, self.input_dim * Z.n)
         if value.shape != expected:
@@ -104,7 +108,10 @@ def char_fn_partial_isometry(V, tol=DEFAULT_TOL):
     N(Z) = gamma0* [I - Z V^*]^{-1} [I (x) Z] gammaInf, all amplified to
     the level of Z.  Satisfies B_V(0) = 0.
     """
-    frames = canonical_frames(V, tol)
+    return _frames_char_fn(V, canonical_frames(V, tol), tol)
+
+
+def _frames_char_fn(V, frames, tol):
     g0 = frames.gamma0
     m, p = g0.shape
     q = frames.gammaInf.shape[1]
@@ -133,9 +140,10 @@ def char_fn(T, tol=DEFAULT_TOL):
     point: B_T(Z) = D_{delta*} (I + B_V(Z) delta*)^{-1} (B_V(Z) + delta)
     D_delta^{-1}, amplified per level.  Satisfies B_T(0) = delta.
     """
-    parts = iso_pure_decompose(T, tol)
-    B_V = char_fn_partial_isometry(parts.V, tol)
-    delta = defect_point(T, tol)
+    V = iso_pure_decompose(T, tol).V
+    frames = canonical_frames(V, tol)
+    B_V = _frames_char_fn(V, frames, tol)
+    delta = _frames_defect_point(T, frames)
     D_delta_inv = pinv(
         psd_sqrt(np.eye(delta.shape[1]) - delta.conj().T @ delta, tol), tol
     )
@@ -188,8 +196,10 @@ def popescu_char(T, tol=DEFAULT_TOL):
 
 
 def _moebius_defects(alpha, tol):
+    # psd_sqrt zeroes defect eigenvalues at or below rank_rel, so alpha
+    # must keep 1 - ||alpha||^2 above it for D_a to be invertible
     alpha = np.asarray(alpha, dtype=complex)
-    if alpha.size and np.linalg.norm(alpha, 2) >= 1.0 - 1e-12:
+    if alpha.size and 1.0 - np.linalg.norm(alpha, 2) ** 2 <= tol.rank_rel:
         raise NotStrict("alpha must be a strict contraction")
     D_a = psd_sqrt(np.eye(alpha.shape[1]) - alpha.conj().T @ alpha, tol)
     D_a_star = psd_sqrt(np.eye(alpha.shape[0]) - alpha @ alpha.conj().T, tol)
@@ -329,18 +339,11 @@ def _restrict(B, supp_in, supp_out):
     )
 
 
-def _unstack_level(M, block_rows):
-    """Reshape so that left multiplication by kron(I_n, U) becomes plain
-    left multiplication by U."""
-    n = M.shape[0] // block_rows
-    return M.reshape(n, block_rows, M.shape[1]).transpose(1, 0, 2).reshape(block_rows, -1)
-
-
-def _coincidence_residual(levels, vals1, vals2, U_out, U_in):
+def _coincidence_residual(R1, R2, points, U_out, U_in):
     worst = 0.0
-    for n, M1, M2 in zip(levels, vals1, vals2):
-        lhs = coeff_lift(U_out, n) @ M1
-        rhs = M2 @ coeff_lift(U_in, n)
+    for Z in points:
+        lhs = coeff_lift(U_out, Z.n) @ R1(Z)
+        rhs = R2(Z) @ coeff_lift(U_in, Z.n)
         if lhs.size:
             worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     return worst
@@ -351,47 +354,40 @@ def _polar_unitary(M):
     return W @ Vh
 
 
-def _nullspace_init(levels, vals1, vals2, p, q):
-    """Global initialization for the bilinear coincidence fit.
+def _left_rows(A):
+    """Matrix of U -> (U (x) I) A on the row-major vec(U), for a value A
+    given as its 4-d block view (n, r, n, s)."""
+    r = A.shape[1]
+    return np.einsum("xy,icjb->ixjbyc", np.eye(r), A).reshape(A.size, r * r)
 
-    The relation (U_out (x) I) B1(Z) - B2(Z) (U_in (x) I) = 0 is linear in
-    the pair (U_out, U_in); the smallest right singular vector of the
-    stacked constraint matrix recovers the pair up to a common scale,
-    which the polar projection removes.
-    """
-    if p == 0 or q == 0:
-        return None
-    rows = []
-    for n, M1, M2 in zip(levels, vals1, vals2):
-        block = np.zeros((M1.shape[0] * M1.shape[1], p * p + q * q), dtype=complex)
-        for a in range(p):
-            for b in range(p):
-                E = np.zeros((p, p))
-                E[a, b] = 1.0
-                block[:, a * p + b] = (coeff_lift(E, n) @ M1).ravel()
-        for a in range(q):
-            for b in range(q):
-                E = np.zeros((q, q))
-                E[a, b] = 1.0
-                block[:, p * p + a * q + b] = -(M2 @ coeff_lift(E, n)).ravel()
-        rows.append(block)
-    _, _, Vh = np.linalg.svd(np.vstack(rows))
-    # right null vector is a column of V = Vh^H, hence the conjugate
-    vec = Vh[-1].conj()
-    U_out = vec[: p * p].reshape(p, p)
-    U_in = vec[p * p :].reshape(q, q)
-    if np.linalg.norm(U_out, 2) < 1e-12 or np.linalg.norm(U_in, 2) < 1e-12:
-        return None
-    return _polar_unitary(U_out), _polar_unitary(U_in)
+
+def _right_rows(A):
+    """Matrix of U -> A (U (x) I) on the row-major vec(U)."""
+    s = A.shape[3]
+    return np.einsum("iajc,xy->iajxcy", A, np.eye(s)).reshape(A.size, s * s)
+
+
+def _null_vectors(A, tol):
+    """Right singular vectors of A with sigma <= rank_rel * sigma_max, at
+    least one.  With fewer rows than columns every direction outside the
+    row space is null too, so V is then computed complete."""
+    _, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    return Vh[min(_svd_rank(s, tol), A.shape[1] - 1) :].conj().T
 
 
 def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=DEFAULT_TOL):
     """Fit constant unitaries with (U_out (x) I) B1(Z) = B2(Z) (U_in (x) I)
     after restricting both samplers to their supports.
 
-    Alternating Procrustes over the fit points (at most 50 sweeps,
-    convergence 1e-12), initialized from the values at zero; the residual
-    is the worst holdout mismatch and the verdict compares it to tol.
+    One linear solve: at Z = 0 and at each fit point the relation and its
+    adjoint (U_in (x) I) B1(Z)* = B2(Z)* (U_out (x) I) are linear in the
+    pair (X, Y) = (U_out, U_in), so X (+) Y intertwines the self-adjoint
+    dilations [[0, Bi], [Bi*, 0]].  The null vectors of the stacked rows
+    (singular values at most rank_rel * sigma_max, at least one) span those
+    intertwiners; a fixed-seed complex combination of them is invertible,
+    and since the intertwiners are closed under adjoint its polar factors
+    are unitary intertwiners.  The residual is the worst holdout mismatch
+    and the verdict compares it to tol.
     """
     s1_in, s1_out = support_frames(B1, fit_points, num_tol)
     s2_in, s2_out = support_frames(B2, fit_points, num_tol)
@@ -404,57 +400,19 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     if p == 0 and q == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, True
 
-    anchor = zero_tuple(B1.d, 1)
-    points = [anchor] + list(fit_points)
-    levels = [Z.n for Z in points]
-    vals1 = [R1(Z) for Z in points]
-    vals2 = [R2(Z) for Z in points]
-    hold_levels = [Z.n for Z in holdout_points]
-    hold1 = [R1(Z) for Z in holdout_points]
-    hold2 = [R2(Z) for Z in holdout_points]
-
-    def alternate(U_out, U_in):
-        for _ in range(50):
-            prev = (U_out.copy(), U_in.copy())
-            if p:
-                pairs = [
-                    (_unstack_level(M1, p), _unstack_level(M2 @ coeff_lift(U_in, n), p))
-                    for n, M1, M2 in zip(levels, vals1, vals2)
-                ]
-                U_out, _ = fit_unitary(pairs)
-            if q:
-                pairs = [
-                    (
-                        _unstack_level(M2.conj().T, q),
-                        _unstack_level(M1.conj().T @ coeff_lift(U_out.conj().T, n), q),
-                    )
-                    for n, M1, M2 in zip(levels, vals1, vals2)
-                ]
-                V, _ = fit_unitary(pairs)
-                U_in = V.conj().T
-            if (
-                np.linalg.norm(U_out - prev[0]) < 1e-12
-                and np.linalg.norm(U_in - prev[1]) < 1e-12
-            ):
-                break
-        return U_out, U_in
-
-    inits = [(np.eye(p, dtype=complex), np.eye(q, dtype=complex))]
-    if vals1[0].size and vals2[0].size:
-        P1, _, Q1h = np.linalg.svd(vals1[0])
-        P2, _, Q2h = np.linalg.svd(vals2[0])
-        inits.append((P2 @ P1.conj().T, Q2h.conj().T @ Q1h))
-    null_init = _nullspace_init(levels, vals1, vals2, p, q)
-    if null_init is not None:
-        inits.append(null_init)
-
-    best = (None, None, float("inf"))
-    for U_out0, U_in0 in inits:
-        U_out, U_in = alternate(U_out0, U_in0)
-        res = _coincidence_residual(hold_levels, hold1, hold2, U_out, U_in)
-        if res < best[2]:
-            best = (U_out, U_in, res)
-    U_out, U_in, residual = best
+    rows = []
+    for Z in [zero_tuple(B1.d, 1)] + list(fit_points):
+        M1 = _value_blocks(R1, R1(Z), Z.n)
+        M2 = _value_blocks(R2, R2(Z), Z.n)
+        N1 = M1.conj().transpose(2, 3, 0, 1)
+        N2 = M2.conj().transpose(2, 3, 0, 1)
+        rows.append(np.hstack([_left_rows(M1), -_right_rows(M2)]))
+        rows.append(np.hstack([-_right_rows(N2), _left_rows(N1)]))
+    null = _null_vectors(np.vstack(rows), num_tol)
+    vec = null @ (np.random.default_rng(0).standard_normal((null.shape[1], 2)) @ [1.0, 1j])
+    U_out = _polar_unitary(vec[: p * p].reshape(p, p))
+    U_in = _polar_unitary(vec[p * p :].reshape(q, q))
+    residual = _coincidence_residual(R1, R2, holdout_points, U_out, U_in)
     return U_out, U_in, residual, bool(residual <= tol)
 
 

@@ -41,6 +41,10 @@ class NotStrict(NcdbrError):
     pass
 
 
+class OutsideBall(NcdbrError):
+    """A point lies outside the open row ball."""
+
+
 class DenominatorSingular(NcdbrError):
     pass
 

@@ -35,20 +35,23 @@ def ad_map(Z, W, P):
     return out
 
 
-def szego_kernel(Z, W, P):
-    """Value of the NC Szego kernel, the solution K of K - Ad_{Z,W*}(K) = P.
-
-    Solved as one dense linear system: column-major vectorization turns
-    Z_j K W_j* into kron(conj(W_j), Z_j) acting on vec(K).
-    """
-    P = _check_shapes(Z, W, P)
+def _szego_system(Z, W):
+    """Matrix of K -> K - sum_j Z_j K W_j* on the column-major vec(K):
+    vectorization turns Z_j K W_j* into kron(conj(W_j), Z_j)."""
     r = row_norm(Z) * row_norm(W)
     if r >= (1.0 - 1e-6) ** 2:
         warnings.warn("kernel solve near the row-ball boundary", NearBoundary)
     M = np.eye(Z.n * W.n, dtype=complex)
     for Zj, Wj in zip(Z.coords, W.coords):
         M -= np.kron(Wj.conj(), Zj)
-    vec = np.linalg.solve(M, P.ravel(order="F"))
+    return M
+
+
+def szego_kernel(Z, W, P):
+    """Value of the NC Szego kernel, the solution K of K - Ad_{Z,W*}(K) = P,
+    solved as one dense linear system."""
+    P = _check_shapes(Z, W, P)
+    vec = np.linalg.solve(_szego_system(Z, W), P.ravel(order="F"))
     return vec.reshape(P.shape, order="F")
 
 
@@ -81,15 +84,20 @@ def dbr_kernel(B, Z, W, P):
 def cp_check(B, Z, threshold=-1e-9):
     """Assemble the Choi block matrix of the kernel at (Z, Z) over matrix
     units of C^n and report its minimal eigenvalue; psd iff above the
-    absolute threshold."""
+    absolute threshold.
+
+    Block (p, q) is dbr_kernel(B, Z, Z, E_pq).  The column-major vec of E_pq
+    is e_{p+qn}, so one inverse of the Szego system gives every kernel value
+    K[:, :, p, q], and B(Z) is evaluated once.
+    """
     n = Z.n
-    k = B.output_dim * n
-    choi = np.zeros((n * k, n * k), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[p, q] = 1.0
-            choi[p * k : (p + 1) * k, q * k : (q + 1) * k] = dbr_kernel(B, Z, Z, E)
+    o = B.output_dim
+    K = np.linalg.inv(_szego_system(Z, Z)).reshape(n, n, n, n, order="F")
+    BZ = B(Z).reshape(n, o, n, B.input_dim)
+    choi = np.einsum("ikpq,ac->piaqkc", K, np.eye(o)) - np.einsum(
+        "iajb,jlpq,kclb->piaqkc", BZ, K, BZ.conj(), optimize=True
+    )
+    choi = choi.reshape(n * n * o, n * n * o)
     choi = (choi + choi.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(choi)[0])
     return min_eig, min_eig >= threshold

@@ -7,6 +7,7 @@ below and in the higher modules is normalized into this single layout.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -59,6 +60,12 @@ class MatrixTuple:
     def n(self):
         return self.coords[0].shape[0]
 
+    @cached_property
+    def row_norm(self):
+        """Largest singular value of the block row [Z_1 ... Z_d], computed on
+        first use and kept; the coordinates must not change in place."""
+        return float(np.linalg.norm(np.hstack(self.coords), 2))
+
 
 @dataclass(frozen=True)
 class FreeWord:
@@ -88,9 +95,9 @@ def zero_tuple(d, n):
 
 
 def row_norm(Z):
-    """Largest singular value of the block row [Z_1 ... Z_d]."""
-    row = np.hstack(Z.coords)
-    return float(np.linalg.norm(row, 2))
+    """Largest singular value of the block row [Z_1 ... Z_d], computed once
+    per point."""
+    return Z.row_norm
 
 
 def in_row_ball(Z, margin=0.0):

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra primitives with an explicit tolerance policy.
 
-All higher modules route their rank decisions, square roots and unitary
-fits through this module so that a single pair of cutoffs (relative rank
-cutoff, absolute equality tolerance) governs the whole toolkit.
+All higher modules route their rank decisions and square roots through
+this module so that a single pair of cutoffs (relative rank cutoff,
+absolute equality tolerance) governs the whole toolkit.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ __all__ = [
     "pinv",
     "orthonormal_range",
     "orthonormal_kernel",
-    "fit_unitary",
     "stabilized_span",
     "subspace_stable_basis",
 ]
@@ -55,7 +54,9 @@ def psd_sqrt(A, tol=DEFAULT_TOL):
     """Hermitian PSD square root via eigendecomposition of (A + A*)/2.
 
     Negative eigenvalues within the tolerance are clamped to zero; a
-    genuinely indefinite input raises NotPSD.
+    genuinely indefinite input raises NotPSD.  A is taken at the scale
+    of the identity: every caller roots a defect I - X*X or I - XX*, so
+    eigenvalues at or below rank_rel * max(w_max, 1) are zeroed.
     """
     A = _as_complex(A)
     if A.shape[0] != A.shape[1]:
@@ -70,13 +71,13 @@ def psd_sqrt(A, tol=DEFAULT_TOL):
 
 def _psd_eigenvalues(w, tol):
     """PSD policy on ascending Hermitian eigenvalues: NotPSD below -100*eq_abs,
-    else zero every value at or below rank_rel * max(w, 0), so that roots and
-    inverses of noise cannot inflate the rank; the nonzero values are kept."""
+    else zero every value at or below rank_rel * max(w_max, 1), so that roots
+    and inverses of noise cannot inflate the rank, also when the whole matrix
+    is noise; the nonzero values are kept."""
     if w.size and w[0] < -100.0 * tol.eq_abs:
         raise NotPSD("minimal eigenvalue %.3e below -100*eq_abs" % w[0])
     w = np.clip(w, 0.0, None)
-    if w.size and w[-1] > 0.0:
-        w[w <= tol.rank_rel * w[-1]] = 0.0
+    w[w <= tol.rank_rel * w.max(initial=1.0)] = 0.0
     return w
 
 
@@ -168,30 +169,3 @@ def stabilized_span(ops, seed, tol=DEFAULT_TOL):
             return new_frame, steps
         frame = new_frame
         steps += 1
-
-
-def fit_unitary(pairs):
-    """Unitary U minimizing sum of ||U A_i - B_i||_F^2 over the given pairs.
-
-    Orthogonal-Procrustes solution: U = W Vh for the SVD of sum B_i A_i*.
-    Returns (U, attained residual).
-    """
-    pairs = [(_as_complex(A), _as_complex(B)) for A, B in pairs]
-    if not pairs:
-        raise DimensionMismatch("fit_unitary needs at least one pair")
-    rows_a = pairs[0][0].shape[0]
-    rows_b = pairs[0][1].shape[0]
-    for A, B in pairs:
-        if A.shape[0] != rows_a or B.shape[0] != rows_b:
-            raise DimensionMismatch("inconsistent row counts across pairs")
-        if A.shape[1] != B.shape[1]:
-            raise DimensionMismatch("column counts differ within a pair")
-    if rows_a != rows_b:
-        raise DimensionMismatch("U must be square: row counts differ")
-    M = np.zeros((rows_b, rows_a), dtype=complex)
-    for A, B in pairs:
-        M += B @ A.conj().T
-    W, _, Vh = np.linalg.svd(M)
-    U = W @ Vh
-    residual = float(sum(np.linalg.norm(U @ A - B, "fro") ** 2 for A, B in pairs))
-    return U, residual

@@ -147,8 +147,12 @@ def canonical_frames(V, tol=DEFAULT_TOL):
 
 def defect_point(T, tol=DEFAULT_TOL):
     """The pure contraction -gamma0* T gammaInf against V's canonical frames."""
-    parts = iso_pure_decompose(T, tol)
-    frames = canonical_frames(parts.V, tol)
+    return _frames_defect_point(T, canonical_frames(iso_pure_decompose(T, tol).V, tol))
+
+
+def _frames_defect_point(T, frames):
+    """-gamma0* T gammaInf for canonical frames already built from T's
+    isometric part."""
     return -frames.gamma0.conj().T @ T.row() @ frames.gammaInf
 
 

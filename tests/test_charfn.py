@@ -4,6 +4,7 @@ import pytest
 from conftest import ball_points, random_contraction, random_partial_isometry
 from ncdbr.charfn import (
     SchurSampler,
+    _null_vectors,
     char_fn,
     char_fn_partial_isometry,
     frostman_shift,
@@ -17,7 +18,7 @@ from ncdbr.charfn import (
     weak_coincidence_fit,
     xi_map,
 )
-from ncdbr.errors import ConstancyViolated, DimensionMismatch, NotStrict
+from ncdbr.errors import ConstancyViolated, DimensionMismatch, NotStrict, OutsideBall
 from ncdbr.ncspace import (
     MatrixTuple,
     coeff_lift,
@@ -26,6 +27,7 @@ from ncdbr.ncspace import (
     row_norm,
     sample_ball_point,
 )
+from ncdbr.numerics import DEFAULT_TOL
 from ncdbr.rowcontraction import RowContraction, canonical_frames, defect_point
 
 JORDAN = RowContraction((np.array([[0.0, 0.0], [1.0, 0.0]]),))
@@ -168,6 +170,10 @@ def test_moebius_factorization_and_adjunction(rng):
 def test_moebius_rejects_non_strict():
     with pytest.raises(NotStrict):
         moebius(np.eye(2), np.zeros((2, 2)))
+    # a defect 1 - ||alpha||^2 at or below rank_rel would be rooted to zero
+    with pytest.raises(NotStrict):
+        moebius(np.array([[1.0 - 1e-11]]), np.array([[0.5]]))
+    assert abs(moebius(np.array([[1.0 - 1e-9]]), np.array([[0.5]]))[0, 0] + 1.0) < 1e-6
 
 
 def test_frostman_fixed_point():
@@ -207,6 +213,75 @@ def test_weak_coincidence_positive_and_negative():
     hold1 = ball_points(1, 4, seed=900)
     _, _, res, ok = weak_coincidence_fit(b1, b2, fit1, hold1)
     assert not ok and res > 1e-3
+
+
+def _assert_unitary(U):
+    assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2) < 1e-10
+
+
+def _direct_sum_contraction(A, B):
+    ops = []
+    for a, b in zip(A.ops, B.ops):
+        blk = np.zeros((A.m + B.m, A.m + B.m), dtype=complex)
+        blk[: A.m, : A.m] = a
+        blk[A.m :, A.m :] = b
+        ops.append(blk)
+    return RowContraction(tuple(ops))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_weak_coincidence_reducible_direct_sum(d):
+    # a reducible pair has several intertwiners; only a generic
+    # combination of them is invertible
+    T = _direct_sum_contraction(
+        random_contraction(30 + d, d, 2), random_contraction(40 + d, d, 2, norm=0.6)
+    )
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    T2 = RowContraction(tuple(Q @ op @ Q.conj().T for op in T.ops))
+    fit = ball_points(d, 6, seed=100)
+    hold = ball_points(d, 4, seed=900)
+    for B2 in (char_fn(T2), popescu_char(T)):
+        U_out, U_in, res, ok = weak_coincidence_fit(char_fn(T), B2, fit, hold)
+        assert ok and res < 1e-8
+        _assert_unitary(U_out)
+        _assert_unitary(U_in)
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (2, 5), (3, 3)])
+def test_weak_coincidence_one_fit_point(d, m):
+    # Z = 0 and one level-1 point identify the pair once the adjoint
+    # relation is stacked with the direct one
+    T = random_contraction(10 * d + m, d, m)
+    rng = np.random.default_rng(d * 100 + m)
+    Q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    T2 = RowContraction(tuple(Q @ op @ Q.conj().T for op in T.ops))
+    fit = ball_points(d, 1, seed=100)
+    hold = ball_points(d, 4, seed=900)
+    for B2 in (char_fn(T2), popescu_char(T)):
+        _, _, res, ok = weak_coincidence_fit(char_fn(T), B2, fit, hold)
+        assert ok and res < 1e-8
+    _, _, res, ok = weak_coincidence_fit(
+        char_fn(T), char_fn(random_contraction(500 + m, d, m)), fit, hold
+    )
+    assert not ok and res > 1e-3
+
+
+def test_null_vectors_with_fewer_rows_than_unknowns():
+    rng = np.random.default_rng(4)
+    # full row rank 3 in 5 unknowns: the null space is the 2-dimensional
+    # complement of the row space, which a reduced SVD does not return
+    A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    N = _null_vectors(A, DEFAULT_TOL)
+    assert N.shape == (5, 2)
+    assert np.linalg.norm(A @ N) < 1e-12
+    assert np.linalg.norm(N.conj().T @ N - np.eye(2)) < 1e-12
+    # full column rank: still one vector, the least singular direction
+    A = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+    N = _null_vectors(A, DEFAULT_TOL)
+    s = np.linalg.svd(A, compute_uv=False)
+    assert N.shape == (4, 1)
+    assert abs(np.linalg.norm(A @ N) - s[-1]) < 1e-12
 
 
 def test_weak_coincidence_support_mismatch():
@@ -290,3 +365,33 @@ def test_sampler_shape_guard():
     )
     with pytest.raises(DimensionMismatch):
         bad(sample_ball_point(1, 1, 0.5, 0))
+
+
+def test_sampler_rejects_points_outside_ball():
+    B = char_fn(HALF)
+    for z in (1.5, 2.0, 1.0):
+        with pytest.raises(OutsideBall):
+            B(scalar_point(z))
+    Z = scalar_point(0.999)
+    assert abs(B(Z)[0, 0] - (0.999 - 0.5) / (1.0 - 0.5 * 0.999)) < 1e-10
+    # the row norm is computed once and kept on the point
+    assert vars(Z)["row_norm"] == row_norm(Z) == 0.999
+
+
+def test_char_fn_builds_canonical_frames_once(monkeypatch):
+    import ncdbr.charfn
+    import ncdbr.rowcontraction
+
+    calls = []
+
+    def counted(V, tol=DEFAULT_TOL):
+        calls.append(V)
+        return canonical_frames(V, tol)
+
+    monkeypatch.setattr(ncdbr.charfn, "canonical_frames", counted)
+    monkeypatch.setattr(ncdbr.rowcontraction, "canonical_frames", counted)
+    T = random_contraction(2, 2, 3)
+    B = char_fn(T)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.linalg.norm(B.at_zero() - defect_point(T), 2) < 1e-10

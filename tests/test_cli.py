@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import random_contraction
 from ncdbr.cli import main
 
 UNITARY = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures")
 
 
 def matrix_json(M):
@@ -67,6 +69,20 @@ def test_compare_popescu_command(contraction_file, capsys):
     assert code == 0
     assert report["verdicts"]["weak_coincidence"]
     assert report["results"]["residual"] < 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compare_popescu_one_point(d, capsys):
+    path = os.path.join(FIXTURES, "contraction_d%d.json" % d)
+    code, report = run(["compare-popescu", "--input", path, "--points", "1"], capsys)
+    assert code == 0
+    assert report["verdicts"]["weak_coincidence"]
+    assert report["results"]["residual"] < 1e-8
+
+
+def test_charfn_outside_ball_exits_two(scalar_file, capsys):
+    assert main(["charfn", "--input", scalar_file, "--radius", "1.5"]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_kernel_psd_command(contraction_file, capsys):

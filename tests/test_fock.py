@@ -149,6 +149,11 @@ def test_dbr_space_edge_cases():
     assert space.dim == n
     assert np.allclose(space.gram, np.eye(n))
     _assert_matches_reference(space, np.zeros((n, 3)))
+    # a random unitary is co-isometric too; its defect is round-off only
+    rng = np.random.default_rng(14)
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    space = dbr_space(Q, f)
+    assert space.dim == 0 and space.gram.shape == (0, 0)
     # contractivity boundary: 1e-8 of slack in the norm, no more
     space = dbr_space((1.0 + 1e-9) * np.eye(n), f)
     assert space.dim == 0

@@ -81,3 +81,28 @@ def test_cp_check_psd_and_negative_control():
     Zb = sample_ball_point(1, 2, 0.8, 7)
     min_eig, ok = cp_check(bad, Zb)
     assert not ok and min_eig < -1e-6
+
+
+def test_cp_check_evaluates_sampler_once():
+    T = random_contraction(4, 2, 3)
+    B = char_fn(T)
+    calls = []
+
+    def counted(Z):
+        calls.append(Z)
+        return B(Z)
+
+    C = SchurSampler(d=2, input_dim=B.input_dim, output_dim=B.output_dim, evaluator=counted)
+    Z = sample_ball_point(2, 3, 0.6, 31)
+    min_eig, ok = cp_check(C, Z)
+    assert len(calls) == 1 and ok
+    # reference: the Choi matrix assembled block by block from dbr_kernel
+    n, k = Z.n, B.output_dim * Z.n
+    choi = np.zeros((n * k, n * k), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            E = np.zeros((n, n))
+            E[p, q] = 1.0
+            choi[p * k : (p + 1) * k, q * k : (q + 1) * k] = dbr_kernel(B, Z, Z, E)
+    expected = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0]
+    assert abs(min_eig - expected) < 1e-12

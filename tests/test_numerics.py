@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdbr.errors import DimensionMismatch, NotHermitian, NotPSD
+from ncdbr.errors import NotHermitian, NotPSD
 from ncdbr.numerics import (
     DEFAULT_TOL,
     Tolerance,
-    fit_unitary,
     orthonormal_kernel,
     orthonormal_range,
     pinv,
@@ -92,35 +91,6 @@ def test_orthonormal_range_and_kernel(rng):
 def test_orthonormal_range_deterministic(rng):
     A = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     assert np.array_equal(orthonormal_range(A), orthonormal_range(A.copy()))
-
-
-def test_fit_unitary_recovers_rotation(rng):
-    U_true = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    pairs = []
-    for _ in range(3):
-        A = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        pairs.append((A, U_true @ A))
-    U, residual = fit_unitary(pairs)
-    assert residual < 1e-20
-    assert np.linalg.norm(U - U_true) < 1e-10
-
-
-def test_fit_unitary_allows_mixed_column_counts(rng):
-    U_true = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-    pairs = []
-    for cols in (2, 5):
-        A = rng.standard_normal((3, cols)) + 1j * rng.standard_normal((3, cols))
-        pairs.append((A, U_true @ A))
-    U, residual = fit_unitary(pairs)
-    assert residual < 1e-20
-
-
-def test_fit_unitary_shape_errors(rng):
-    with pytest.raises(DimensionMismatch):
-        fit_unitary([])
-    A = rng.standard_normal((3, 3))
-    with pytest.raises(DimensionMismatch):
-        fit_unitary([(A, rng.standard_normal((4, 3)))])
 
 
 def test_stabilized_span_cyclic():

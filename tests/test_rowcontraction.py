@@ -64,6 +64,12 @@ def test_cnc_rank_examples():
     # Jordan nilpotent is CNC
     rep = cnc_rank(JORDAN)
     assert rep.is_cnc and rep.dim == 2
+    # random unitaries: I - UU* is round-off, whose roots must not count
+    rng = np.random.default_rng(11)
+    for m in (3, 4, 6):
+        Q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        rep = cnc_rank(RowContraction((Q,)))
+        assert rep.dim == 0 and not rep.is_cnc
 
 
 def test_cnc_rank_unitarily_invariant(rng):
