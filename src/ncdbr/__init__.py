@@ -25,8 +25,6 @@ from .fock import (
     gleason_extremal,
     kernel_vector,
     model_verify,
-    mult_operator,
-    shifts,
 )
 from .freepoly import FreePolyAst, eval_poly, format_poly, parse_poly
 from .kernels import ad_map, cp_check, dbr_kernel, szego_kernel, szego_series

@@ -221,23 +221,39 @@ def _lift_level(alpha, zeta):
     return ell, zeta
 
 
+def _moebius_maps(alpha, tol):
+    """The Moebius map at alpha and its inverse, as functions of a value
+    zeta at level ell; the defects and their inverses are built once."""
+    alpha, D_a, D_a_star = _moebius_defects(alpha, tol)
+    D_a_inv = pinv(D_a, tol)
+    D_a_star_inv = pinv(D_a_star, tol)
+
+    def forward(zeta, ell):
+        denom = np.eye(zeta.shape[0], dtype=complex) - zeta @ coeff_lift(alpha.conj().T, ell)
+        core = np.linalg.solve(denom, zeta - coeff_lift(alpha, ell))
+        return coeff_lift(D_a_star, ell) @ core @ coeff_lift(D_a_inv, ell)
+
+    def inverse(zeta, ell):
+        denom = np.eye(zeta.shape[1], dtype=complex) + coeff_lift(alpha.conj().T, ell) @ zeta
+        core = np.linalg.solve(denom.conj().T, (zeta + coeff_lift(alpha, ell)).conj().T).conj().T
+        return coeff_lift(D_a_star_inv, ell) @ core @ coeff_lift(D_a, ell)
+
+    return forward, inverse
+
+
 def moebius(alpha, zeta, tol=DEFAULT_TOL):
     """Operator Moebius map D_{a*} (I - zeta a*)^{-1} (zeta - a) D_a^{-1},
     with zeta allowed at any amplification level of alpha."""
-    alpha, D_a, D_a_star = _moebius_defects(alpha, tol)
-    ell, zeta = _lift_level(alpha, zeta)
-    denom = np.eye(zeta.shape[0], dtype=complex) - zeta @ coeff_lift(alpha.conj().T, ell)
-    core = np.linalg.solve(denom, zeta - coeff_lift(alpha, ell))
-    return coeff_lift(D_a_star, ell) @ core @ coeff_lift(pinv(D_a, tol), ell)
+    forward, _ = _moebius_maps(alpha, tol)
+    ell, zeta = _lift_level(np.asarray(alpha), zeta)
+    return forward(zeta, ell)
 
 
 def moebius_inv(alpha, zeta, tol=DEFAULT_TOL):
     """Inverse Moebius map D_{a*}^{-1} (zeta + a)(I + a* zeta)^{-1} D_a."""
-    alpha, D_a, D_a_star = _moebius_defects(alpha, tol)
-    ell, zeta = _lift_level(alpha, zeta)
-    denom = np.eye(zeta.shape[1], dtype=complex) + coeff_lift(alpha.conj().T, ell) @ zeta
-    core = np.linalg.solve(denom.conj().T, (zeta + coeff_lift(alpha, ell)).conj().T).conj().T
-    return coeff_lift(pinv(D_a_star, tol), ell) @ core @ coeff_lift(D_a, ell)
+    _, inverse = _moebius_maps(alpha, tol)
+    ell, zeta = _lift_level(np.asarray(alpha), zeta)
+    return inverse(zeta, ell)
 
 
 def xi_map(alpha, beta, tol=DEFAULT_TOL):
@@ -265,24 +281,14 @@ def frostman_shift(B, alpha, tol=DEFAULT_TOL):
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != b0.shape:
         raise DimensionMismatch("alpha must match the coefficient spaces of B")
-    _, D0, D0_star = _moebius_defects(b0, tol)
-    D0_inv = pinv(D0, tol)
-    shift_needed = bool(np.linalg.norm(alpha, 2) > 0)
-    if shift_needed:
-        _moebius_defects(alpha, tol)
+    to_zero, _ = _moebius_maps(b0, tol)
+    from_zero = None
+    if np.linalg.norm(alpha, 2) > 0:
+        _, from_zero = _moebius_maps(alpha, tol)
 
     def ev(Z):
-        n = Z.n
-        BZ = B(Z)
-        denom = np.eye(BZ.shape[0], dtype=complex) - BZ @ coeff_lift(b0.conj().T, n)
-        normalized = (
-            coeff_lift(D0_star, n)
-            @ np.linalg.solve(denom, BZ - coeff_lift(b0, n))
-            @ coeff_lift(D0_inv, n)
-        )
-        if not shift_needed:
-            return normalized
-        return moebius_inv(alpha, normalized, tol)
+        normalized = to_zero(B(Z), Z.n)
+        return normalized if from_zero is None else from_zero(normalized, Z.n)
 
     return SchurSampler(
         d=B.d,
@@ -306,13 +312,17 @@ def support_frames(B, sample_points, tol=DEFAULT_TOL):
     taken as the support once the rank is stable across two successive
     enlargements.
     """
-    if not sample_points:
-        raise ValueError("need at least one sample point")
+    return _value_supports(B, ((Z, B(Z)) for Z in sample_points), tol)
+
+
+def _value_supports(B, values, tol):
+    """support_frames of the (point, value) pairs, taken in order until the
+    ranks are stable; values may be a lazy iterator."""
     out_cols = [np.zeros((B.output_dim, 0))]
     in_cols = [np.zeros((B.input_dim, 0))]
     ranks = []
-    for Z in sample_points:
-        blocks = _value_blocks(B, B(Z), Z.n)
+    for Z, value in values:
+        blocks = _value_blocks(B, value, Z.n)
         for pidx in range(Z.n):
             for qidx in range(Z.n):
                 blk = blocks[pidx, :, qidx, :]
@@ -323,18 +333,21 @@ def support_frames(B, sample_points, tol=DEFAULT_TOL):
         ranks.append((supp_in.shape[1], supp_out.shape[1]))
         if len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]:
             break
+    if not ranks:
+        raise ValueError("need at least one sample point")
     return supp_in, supp_out
 
 
-def _restrict(B, supp_in, supp_out):
-    def ev(Z):
-        return coeff_lift(supp_out, Z.n).conj().T @ B(Z) @ coeff_lift(supp_in, Z.n)
+def _compress(value, supp_in, supp_out, n):
+    return coeff_lift(supp_out, n).conj().T @ value @ coeff_lift(supp_in, n)
 
+
+def _restrict(B, supp_in, supp_out):
     return SchurSampler(
         d=B.d,
         input_dim=supp_in.shape[1],
         output_dim=supp_out.shape[1],
-        evaluator=ev,
+        evaluator=lambda Z: _compress(B(Z), supp_in, supp_out, Z.n),
         tag=B.tag,
     )
 
@@ -389,8 +402,13 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     are unitary intertwiners.  The residual is the worst holdout mismatch
     and the verdict compares it to tol.
     """
-    s1_in, s1_out = support_frames(B1, fit_points, num_tol)
-    s2_in, s2_out = support_frames(B2, fit_points, num_tol)
+    # each sampler is evaluated once per point: at Z = 0 and the fit points
+    # here, for the supports and the constraint rows alike
+    points = [zero_tuple(B1.d, 1)] + list(fit_points)
+    values1 = [B1(Z) for Z in points]
+    values2 = [B2(Z) for Z in points]
+    s1_in, s1_out = _value_supports(B1, zip(points[1:], values1[1:]), num_tol)
+    s2_in, s2_out = _value_supports(B2, zip(points[1:], values2[1:]), num_tol)
     if s1_in.shape[1] != s2_in.shape[1] or s1_out.shape[1] != s2_out.shape[1]:
         return None, None, float("inf"), False
     R1 = _restrict(B1, s1_in, s1_out)
@@ -401,9 +419,9 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
         return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, True
 
     rows = []
-    for Z in [zero_tuple(B1.d, 1)] + list(fit_points):
-        M1 = _value_blocks(R1, R1(Z), Z.n)
-        M2 = _value_blocks(R2, R2(Z), Z.n)
+    for Z, V1, V2 in zip(points, values1, values2):
+        M1 = _value_blocks(R1, _compress(V1, s1_in, s1_out, Z.n), Z.n)
+        M2 = _value_blocks(R2, _compress(V2, s2_in, s2_out, Z.n), Z.n)
         N1 = M1.conj().transpose(2, 3, 0, 1)
         N2 = M2.conj().transpose(2, 3, 0, 1)
         rows.append(np.hstack([_left_rows(M1), -_right_rows(M2)]))

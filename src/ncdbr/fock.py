@@ -1,6 +1,6 @@
-"""Truncated free Hardy space: shifts, multiplication operators,
-operator-range de Branges-Rovnyak spaces, extremal Gleason solutions,
-and the numerical verification of the model theorem.
+"""Truncated free Hardy space: operator-range de Branges-Rovnyak spaces,
+extremal Gleason solutions, and the numerical verification of the model
+theorem.
 
 Vectors of the truncated space are stored word-major with the coefficient
 space as the fast index: entry (w, c) sits at position
@@ -8,28 +8,19 @@ word_index(w) * coeff_dim + c.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotCNC
-from .ncspace import (
-    FreeWord,
-    pencil_tz_star,
-    sample_ball_point,
-    word_apply,
-    words_up_to,
-)
+from .ncspace import pencil_tz_star, sample_ball_point, words_up_to
 from .numerics import DEFAULT_TOL, orthonormal_range, pinv
 from .numerics import _as_complex, _fix_column_phases, _psd_eigenvalues
-from .realization import taylor_coeff
-from .rowcontraction import cnc_rank, defects, julia_matrix
+from .rowcontraction import cnc_rank, defects
 
 __all__ = [
     "TruncatedFock",
     "DbrSpace",
-    "shifts",
-    "transpose_unitary",
-    "mult_operator",
     "dbr_space",
     "gleason_extremal",
     "kernel_vector",
@@ -50,74 +41,35 @@ class TruncatedFock:
     def __post_init__(self):
         if self.d < 1 or self.N < 0 or self.coeff_dim < 0:
             raise DimensionMismatch("invalid truncated Fock parameters")
-        words = words_up_to(self.d, self.N)
-        object.__setattr__(self, "words", tuple(words))
-        object.__setattr__(self, "word_index", {w.letters: i for i, w in enumerate(words)})
+
+    @cached_property
+    def words(self):
+        """The words of length <= N in graded-lex order, built on first use."""
+        return tuple(words_up_to(self.d, self.N))
+
+    @cached_property
+    def word_index(self):
+        return {w.letters: i for i, w in enumerate(self.words)}
 
     @property
     def num_words(self):
-        return len(self.words)
+        return sum(self.d**k for k in range(self.N + 1))
 
     @property
     def total_dim(self):
         return self.num_words * self.coeff_dim
 
 
-def _word_matrix(f, mapper):
-    """Matrix on the word space sending basis word v to mapper(v) or to 0."""
-    W = f.num_words
-    M = np.zeros((W, W), dtype=complex)
-    for col, w in enumerate(f.words):
-        target = mapper(w)
-        if target is not None and target in f.word_index:
-            M[f.word_index[target], col] = 1.0
-    return M
-
-
-def shifts(f):
-    """Left and right shift matrices on the word space; words that would
-    exceed length N are mapped to 0 by the truncation."""
-    L = []
-    R = []
-    for j in range(1, f.d + 1):
-        L.append(_word_matrix(f, lambda w, j=j: (j,) + w.letters if len(w) < f.N else None))
-        R.append(_word_matrix(f, lambda w, j=j: w.letters + (j,) if len(w) < f.N else None))
-    return L, R
-
-
-def transpose_unitary(f):
-    """Permutation matrix of the word transpose, which swaps L and R."""
-    return _word_matrix(f, lambda w: w.transpose.letters)
-
-
-def mult_operator(coeffs, f):
-    """Matrix of truncated left multiplication by sum_w z^w (x) coeff(w).
-
-    coeffs maps FreeWord (or letter tuples) to uniform (K x J) matrices;
-    f fixes d and N.  The result maps the J-coefficient truncation to the
-    K-coefficient truncation.
-    """
-    items = [
-        (w.letters if isinstance(w, FreeWord) else tuple(w), np.asarray(c, dtype=complex))
-        for w, c in coeffs.items()
-    ]
-    if not items:
-        raise DimensionMismatch("need at least one coefficient")
-    K, J = items[0][1].shape
-    for _, c in items:
-        if c.shape != (K, J):
-            raise DimensionMismatch("coefficient shapes must be uniform")
-    out = np.zeros((f.num_words * K, f.num_words * J), dtype=complex)
-    for letters, c in items:
-        if len(letters) > f.N:
-            continue
-        for col, v in enumerate(f.words):
-            u = letters + v.letters
-            if len(u) > f.N:
-                continue
-            row = f.word_index[u]
-            out[row * K : (row + 1) * K, col * J : (col + 1) * J] += c
-    return out
+def _word_blocks(first, ops, N):
+    """Stack of first @ ops^w over the words w of length <= N in graded-lex
+    order, one level at a time: block(w j) = block(w) @ ops[j]."""
+    ops = np.stack([np.asarray(A, dtype=complex) for A in ops])
+    level = np.asarray(first, dtype=complex)[None]
+    levels = [level]
+    for _ in range(N):
+        level = (level[:, None] @ ops).reshape(-1, *level.shape[1:])
+        levels.append(level)
+    return np.concatenate(levels)
 
 
 @dataclass(frozen=True)
@@ -130,7 +82,6 @@ class DbrSpace:
     """
 
     ambient: TruncatedFock
-    mult: np.ndarray
     range_frame: np.ndarray
     gram: np.ndarray
 
@@ -142,11 +93,19 @@ class DbrSpace:
         return complex(a.conj() @ self.gram @ b)
 
 
+def _space(ambient, w, Q, tol):
+    """The space of the ascending eigenpairs (w, Q) of I - B(L) B(L)*: an
+    eigenvector q_k is (I - B(L) B(L)*)^(1/2) q_k / sqrt(w_k), of
+    operator-range norm 1/sqrt(w_k)."""
+    w = _psd_eigenvalues(w, tol)
+    keep = w > 0.0
+    frame = _fix_column_phases(Q[:, keep], tol)
+    return DbrSpace(ambient=ambient, range_frame=frame, gram=np.diag(1 / w[keep]))
+
+
 def dbr_space(B_L, ambient, tol=DEFAULT_TOL):
     """Build the de Branges-Rovnyak space of a truncated multiplier from
-    one eigendecomposition I - B_L B_L* = Q diag(w) Q*: an eigenvector q_k
-    is (I - B_L B_L*)^(1/2) q_k / sqrt(w_k), of operator-range norm 1/sqrt(w_k).
-    """
+    one eigendecomposition I - B_L B_L* = Q diag(w) Q*."""
     B_L = _as_complex(B_L)
     if B_L.shape[0] != ambient.total_dim:
         raise DimensionMismatch("multiplier rows must match the ambient dimension")
@@ -155,10 +114,7 @@ def dbr_space(B_L, ambient, tol=DEFAULT_TOL):
     # the smallest eigenvalue is 1 - ||B_L||^2
     if w.size and 1.0 - w[0] > (1.0 + 1e-8) ** 2:
         raise ValueError("truncated multiplier is not contractive")
-    w = _psd_eigenvalues(w, tol)
-    keep = w > 0.0
-    frame = _fix_column_phases(Q[:, keep], tol)
-    return DbrSpace(ambient=ambient, mult=B_L, range_frame=frame, gram=np.diag(1 / w[keep]))
+    return _space(ambient, w, Q, tol)
 
 
 def gleason_extremal(space):
@@ -169,34 +125,37 @@ def gleason_extremal(space):
     in the operator-range inner product.
     """
     f = space.ambient
-    _, R = shifts(f)
     F = space.range_frame
+    p = f.coeff_dim
+    # R_j* sends the word v j, at word index 1 + d index(v) + j - 1, to v
+    inner = (f.num_words - 1) // f.d
+    parents = F[: inner * p].conj().T
+    children = F[p:].reshape(inner, f.d, p, space.dim)
     # gram is diag(1/w), so X_j = diag(w) Xstar_j* diag(1/w)
     w = 1.0 / space.gram.diagonal()
     X = []
-    for Rj in R:
-        back = np.kron(Rj.conj().T, np.eye(f.coeff_dim))
-        Xstar = F.conj().T @ back @ F
+    for j in range(f.d):
+        Xstar = parents @ children[:, j].reshape(inner * p, space.dim)
         X.append(w[:, None] * Xstar.conj().T / w)
     return X
 
 
 def _szego_vector(f, Z, g, x, u):
-    x = np.asarray(x, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    coeffs = [np.conj(x.conj() @ word_apply(Z.coords, w) @ u) for w in f.words]
+    rows = _word_blocks(np.conj(x)[None], Z.coords, f.N)
+    coeffs = np.conj(rows[:, 0] @ np.asarray(u, dtype=complex))
     return np.kron(coeffs, np.asarray(g, dtype=complex))
 
 
 def kernel_vector(space, Z, g, x, u):
-    """Truncated kernel vector K^B{Z, g (x) x, u} of the space.
+    """Truncated kernel vector K^B{Z, g (x) x, u} = (I - B(L) B(L)*) s of
+    the space, with s the Szego vector, computed as F diag(w) F* s.
 
     Its operator-range inner product against f in the space reproduces
     <g (x) x, f(Z) u> up to the truncation tail.
     """
     sz = _szego_vector(space.ambient, Z, g, x, u)
-    # (sz* B_L)* is B_L* sz without copying the conjugate of B_L
-    return sz - space.mult @ (sz.conj() @ space.mult).conj()
+    F = space.range_frame
+    return F @ ((F.conj().T @ sz) / space.gram.diagonal())
 
 
 def eval_vector(vec, f, Z):
@@ -204,17 +163,31 @@ def eval_vector(vec, f, Z):
 
     Returns the (coeff_dim * n) x n matrix sum_w kron(Z^w, f_w).
     """
-    K = f.coeff_dim
-    out = np.zeros((K * Z.n, Z.n), dtype=complex)
-    for i, w in enumerate(f.words):
-        fw = vec[i * K : (i + 1) * K].reshape(K, 1)
-        out += np.kron(word_apply(Z.coords, w), fw)
-    return out
+    powers = _word_blocks(np.eye(Z.n), Z.coords, f.N)
+    coeffs = np.asarray(vec, dtype=complex).reshape(f.num_words, f.coeff_dim)
+    return np.einsum("wab,wk->akb", powers, coeffs).reshape(f.coeff_dim * Z.n, Z.n)
 
 
 def _contract_level(vec, n, dim, u):
     """Apply [I_dim (x) u*] to a vector of C^dim (x) C^n."""
     return u.conj() @ vec.reshape(n, dim)
+
+
+def _model_space(T, N, tol):
+    """The truncated model space of T and the embedded output frame
+    D_T* F_out, from one thin SVD of the observability map O_N.
+
+    I - B_L B_L* = O_N O_N* for the truncated multiplier B_L of the Julia
+    colligation; the block of O_N at word w is F_out* D_T* (T*)^w, the
+    Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).
+    """
+    _, D_Tstar = defects(T, tol)
+    F_out = orthonormal_range(D_Tstar, tol)
+    ambient = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
+    first = F_out.conj().T @ D_Tstar
+    O_N = _word_blocks(first, [Tj.conj().T for Tj in T.ops], N)
+    Q, sigma, _ = np.linalg.svd(O_N.reshape(ambient.total_dim, T.m), full_matrices=False)
+    return _space(ambient, sigma[::-1] ** 2, Q[:, ::-1], tol), D_Tstar @ F_out
 
 
 def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
@@ -233,22 +206,10 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     report_cnc = cnc_rank(T, tol)
     if not report_cnc.is_cnc:
         raise NotCNC("model verification needs a CNC row contraction")
-    colligation = julia_matrix(T, tol)
-    D_T, D_Tstar = defects(T, tol)
-    F_in = orthonormal_range(D_T, tol)
-    F_out = orthonormal_range(D_Tstar, tol)
-    q = F_in.shape[1]
-    p = F_out.shape[1]
+    space, seed_vec = _model_space(T, N, tol)
+    p = space.ambient.coeff_dim
     m = T.m
     d = T.d
-
-    coeffs = {}
-    for w in words_up_to(d, N):
-        coeffs[w] = F_out.conj().T @ taylor_coeff(colligation, w) @ F_in
-    ambient = TruncatedFock(d=d, N=N, coeff_dim=p)
-    B_L = mult_operator(coeffs, ambient)
-    assert B_L.shape == (ambient.total_dim, ambient.num_words * q)
-    space = dbr_space(B_L, ambient, tol)
     X = gleason_extremal(space)
     F = space.range_frame
     G = space.gram
@@ -259,7 +220,6 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     K0 = [kernel_vector(space, Z0, g, np.ones(1), np.ones(1)) for g in np.eye(p)]
     K0_coord = F.conj().T @ np.column_stack(K0)
 
-    seed_vec = D_Tstar @ F_out
     levels = [1, 2, 2, 1, 2]
     sources = []
     targets = []

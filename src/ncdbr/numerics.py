@@ -137,19 +137,22 @@ def subspace_stable_basis(frame, tol=DEFAULT_TOL):
     """Canonical orthonormal basis depending only on the spanned subspace.
 
     SVD bases of a degenerate singular subspace can rotate arbitrarily
-    under entry-level perturbations; the pivoted QR of the orthogonal
-    projector varies continuously with the subspace instead, which makes
-    downstream frame-dependent quantities reproducible.
+    under entry-level perturbations; a column-pivoted Gram-Schmidt of the
+    orthogonal projector varies continuously with the subspace instead,
+    which makes downstream frame-dependent quantities reproducible.  Each
+    step takes the column of largest residual norm, the first on ties.
     """
     frame = _as_complex(frame)
     r = frame.shape[1]
     if r == 0:
         return frame
-    import scipy.linalg
-
-    P = frame @ frame.conj().T
-    Q, _, _ = scipy.linalg.qr(P, pivoting=True, mode="economic")
-    return _fix_column_phases(Q[:, :r], tol)
+    residual = frame @ frame.conj().T
+    Q = np.zeros_like(frame)
+    for k in range(r):
+        j = int(np.argmax(np.linalg.norm(residual, axis=0)))
+        Q[:, k] = residual[:, j] / np.linalg.norm(residual[:, j])
+        residual -= np.outer(Q[:, k], Q[:, k].conj() @ residual)
+    return _fix_column_phases(Q, tol)
 
 
 def stabilized_span(ops, seed, tol=DEFAULT_TOL):

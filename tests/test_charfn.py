@@ -395,3 +395,57 @@ def test_char_fn_builds_canonical_frames_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert np.linalg.norm(B.at_zero() - defect_point(T), 2) < 1e-10
+
+
+def test_frostman_values_reuse_hoisted_defects(monkeypatch):
+    import ncdbr.charfn
+
+    T = random_contraction(8, 2, 3)
+    B = char_fn(T)
+    b0 = B.at_zero()
+    rng = np.random.default_rng(9)
+    alpha = rng.standard_normal(b0.shape) + 1j * rng.standard_normal(b0.shape)
+    alpha *= 0.4 / np.linalg.norm(alpha, 2)
+    calls = []
+
+    def counting(f):
+        def wrapped(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("psd_sqrt", "pinv"):
+        monkeypatch.setattr(ncdbr.charfn, name, counting(getattr(ncdbr.charfn, name)))
+    # the defects are built with the sampler, and never again per value
+    shifted = frostman_shift(B, alpha)
+    assert calls
+    calls.clear()
+    points = ball_points(2, 4, radius=0.6, seed=70, levels=(1, 2, 3))
+    values = [shifted(Z) for Z in points]
+    assert not calls
+    monkeypatch.undo()
+    for Z, value in zip(points, values):
+        want = moebius_inv(alpha, moebius(b0, B(Z)))
+        assert np.abs(value - want).max() <= 1e-12
+
+
+def test_weak_coincidence_evaluates_once_per_point():
+    T = random_contraction(11, 2, 3)
+    calls = []
+
+    def counted(B, tag):
+        def ev(Z):
+            calls.append(tag)
+            return B(Z)
+
+        return SchurSampler(B.d, B.input_dim, B.output_dim, ev, tag)
+
+    fit = ball_points(2, 6, seed=100)
+    hold = ball_points(2, 4, seed=900)
+    _, _, res, ok = weak_coincidence_fit(
+        counted(char_fn(T), "B1"), counted(popescu_char(T), "B2"), fit, hold
+    )
+    assert ok and res < 1e-8
+    # Z = 0, six fit points and four holdout points
+    assert calls.count("B1") == calls.count("B2") == 11

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +80,31 @@ def test_compare_popescu_one_point(d, capsys):
     assert code == 0
     assert report["verdicts"]["weak_coincidence"]
     assert report["results"]["residual"] < 1e-8
+
+
+def test_charfn_process_never_imports_scipy():
+    # a fresh process, so that no other test's imports count; -X importtime
+    # logs every module that enters sys.modules
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    path = os.path.join(FIXTURES, "contraction_d2.json")
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ncdbr.cli", "charfn", "--input", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout)["command"] == "charfn"
+    imported = [
+        line.split("|")[-1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "ncdbr.charfn" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def test_charfn_outside_ball_exits_two(scalar_file, capsys):

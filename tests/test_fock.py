@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import random_contraction
+from dense_fock import mult_operator, shifts, transpose_unitary
 from ncdbr.errors import DimensionMismatch, NotCNC
 from ncdbr.fock import (
     TruncatedFock,
+    _model_space,
+    _word_blocks,
     dbr_space,
     eval_vector,
     gleason_extremal,
     kernel_vector,
     model_verify,
-    mult_operator,
-    shifts,
-    transpose_unitary,
 )
-from ncdbr.ncspace import FreeWord, sample_ball_point, word_apply
-from ncdbr.numerics import orthonormal_range, pinv, psd_sqrt
-from ncdbr.rowcontraction import RowContraction
+from ncdbr.ncspace import FreeWord, sample_ball_point, word_apply, words_up_to
+from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, pinv, psd_sqrt
+from ncdbr.realization import taylor_coeff
+from ncdbr.rowcontraction import RowContraction, defects, julia_matrix
 
 JORDAN = RowContraction((np.array([[0.0, 0.0], [1.0, 0.0]]),))
 
@@ -171,6 +172,107 @@ def test_eval_vector_oracle():
     vec[f.word_index[(1, 2)]] = 1.0
     Z = sample_ball_point(2, 2, 0.5, 11)
     assert np.allclose(eval_vector(vec, f, Z), Z.coords[0] @ Z.coords[1])
+
+
+def test_eval_vector_matches_kron_sum():
+    f = TruncatedFock(d=2, N=3, coeff_dim=2)
+    rng = np.random.default_rng(4)
+    vec = rng.standard_normal(f.total_dim) + 1j * rng.standard_normal(f.total_dim)
+    Z = sample_ball_point(2, 3, 0.6, 12)
+    want = sum(
+        np.kron(word_apply(Z.coords, w), vec[2 * i : 2 * i + 2].reshape(2, 1))
+        for i, w in enumerate(f.words)
+    )
+    assert np.abs(eval_vector(vec, f, Z) - want).max() <= 1e-13
+
+
+def test_word_blocks_prefix_recursion():
+    rng = np.random.default_rng(5)
+    ops = [rng.standard_normal((3, 3)) for _ in range(3)]
+    first = rng.standard_normal((2, 3))
+    blocks = _word_blocks(first, ops, 3)
+    words = words_up_to(3, 3)
+    assert blocks.shape == (len(words), 2, 3)
+    for block, w in zip(blocks, words):
+        assert np.allclose(block, first @ word_apply(ops, w), atol=1e-13)
+
+
+# (d, m, N) shapes for the observability-map construction, at row norm 0.9
+OBSERVABILITY_SHAPES = [(1, 3, 6), (2, 3, 5), (3, 2, 4), (2, 4, 4)]
+
+
+def _dense_multiplier(T, N):
+    """The truncated multiplier B_L of T's Julia colligation compressed to
+    the defect ranges, as a dense (W p) x (W q) matrix, and its truncation."""
+    colligation = julia_matrix(T)
+    D_T, D_Tstar = defects(T)
+    F_in = orthonormal_range(D_T)
+    F_out = orthonormal_range(D_Tstar)
+    coeffs = {
+        w: F_out.conj().T @ taylor_coeff(colligation, w) @ F_in for w in words_up_to(T.d, N)
+    }
+    f = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
+    return mult_operator(coeffs, f), f
+
+
+@pytest.mark.parametrize("d,m,N", OBSERVABILITY_SHAPES)
+def test_defect_of_multiplier_is_observability_gramian(d, m, N):
+    T = random_contraction(17 + d, d, m)
+    B_L, f = _dense_multiplier(T, N)
+    _, D_Tstar = defects(T)
+    F_out = orthonormal_range(D_Tstar)
+    # O_N stacks F_out* D_T* (T*)^w over the words, built here word by word
+    star = [Tj.conj().T for Tj in T.ops]
+    O_N = np.vstack([F_out.conj().T @ D_Tstar @ word_apply(star, w) for w in f.words])
+    gap = np.eye(f.total_dim) - B_L @ B_L.conj().T - O_N @ O_N.conj().T
+    assert np.linalg.norm(gap, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("d,m,N", OBSERVABILITY_SHAPES)
+def test_observability_space_matches_dense_space(d, m, N):
+    T = random_contraction(17 + d, d, m)
+    B_L, f = _dense_multiplier(T, N)
+    dense = dbr_space(B_L, f)
+    space, _ = _model_space(T, N, DEFAULT_TOL)
+    assert space.dim == dense.dim == m
+
+    def ambient(S, M):
+        return S.range_frame @ M @ S.range_frame.conj().T
+
+    defect = lambda S: ambient(S, np.diag(1.0 / S.gram.diagonal()))
+    assert np.abs(defect(space) - defect(dense)).max() <= 1e-12
+    for X, Xd in zip(gleason_extremal(space), gleason_extremal(dense)):
+        assert np.abs(ambient(space, X) - ambient(dense, Xd)).max() <= 1e-12
+    # the kernel vector F diag(w) F* s is (I - B_L B_L*) s for the Szego
+    # vector s with coefficients conj(x* Z^w u) (x) g
+    Z = sample_ball_point(d, 2, 0.5, 3)
+    g, x, u = np.eye(f.coeff_dim)[0], np.ones(2), np.array([1.0, 1j])
+    s = np.kron([np.conj(x @ word_apply(Z.coords, w) @ u) for w in f.words], g)
+    want = s - B_L @ (B_L.conj().T @ s)
+    assert np.abs(kernel_vector(space, Z, g, x, u) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,m,N", OBSERVABILITY_SHAPES)
+def test_gleason_index_slice_matches_shift_compression(d, m, N):
+    T = random_contraction(17 + d, d, m)
+    space, _ = _model_space(T, N, DEFAULT_TOL)
+    f = space.ambient
+    F = space.range_frame
+    w = 1.0 / space.gram.diagonal()
+    _, R = shifts(f)
+    for Rj, X in zip(R, gleason_extremal(space)):
+        Xstar = F.conj().T @ np.kron(Rj.conj().T, np.eye(f.coeff_dim)) @ F
+        assert np.abs(X - w[:, None] * Xstar.conj().T / w).max() <= 1e-12
+
+
+def test_model_verify_long_truncation():
+    # 88,573 words: the dense multiplier would be 177146 x 531438
+    rep = model_verify(random_contraction(0, 3, 2, 0.5), 10)
+    assert rep["model_dim"] == 2
+    worst = max(
+        rep["frame_residual"], rep["intertwine_residual"], rep["kernel_identity_residual"]
+    )
+    assert worst <= 1e-3
 
 
 def test_gleason_extremal_row_contraction():
