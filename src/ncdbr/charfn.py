@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     ConstancyViolated,
-    DenominatorSingular,
     DimensionMismatch,
     NotStrict,
     OutsideBall,
@@ -25,17 +24,17 @@ from .ncspace import (
     MatrixTuple,
     coeff_lift,
     pencil_tz_star,
-    point_block,
     row_norm,
     sample_ball_point,
     zero_tuple,
 )
 from .numerics import DEFAULT_TOL, _svd_rank, orthonormal_range, pinv, psd_sqrt
+from .realization import Colligation, transfer_eval
 from .rowcontraction import (
     _frames_defect_point,
     canonical_frames,
-    defects,
     iso_pure_decompose,
+    julia_matrix,
 )
 
 __all__ = [
@@ -84,83 +83,66 @@ class SchurSampler:
         return self(zero_tuple(self.d, 1))
 
 
-def _solve_pencil(pencil, rhs, tol, exc=SingularPencil, limit=None):
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    cond = sv[0] / max(sv[-1], 1e-300)
-    ceiling = limit if limit is not None else 1.0 / tol.rank_rel
-    if sv[-1] == 0.0 or cond > ceiling:
-        raise exc("condition number %.3e" % cond)
-    return np.linalg.solve(pencil, rhs)
-
-
 def model_gamma(V, Z, tol=DEFAULT_TOL):
     """Canonical model map value [I - V Z^*]^{-1} (gamma0 (x) I_n)."""
     frames = canonical_frames(V, tol)
     pencil = pencil_tz_star(V.ops, Z)
-    return _solve_pencil(pencil, coeff_lift(frames.gamma0, Z.n), tol)
+    sv = np.linalg.svd(pencil, compute_uv=False)
+    if sv[-1] <= tol.rank_rel * sv[0]:
+        raise SingularPencil("pencil condition %.3e" % (sv[0] / max(sv[-1], 1e-300)))
+    return np.linalg.solve(pencil, coeff_lift(frames.gamma0, Z.n))
+
+
+def _transfer_sampler(c, tol, tag):
+    return SchurSampler(
+        d=c.d,
+        input_dim=c.input_dim,
+        output_dim=c.output_dim,
+        evaluator=lambda Z: transfer_eval(c, Z, tol),
+        tag=tag,
+    )
 
 
 def char_fn_partial_isometry(V, tol=DEFAULT_TOL):
     """Characteristic function B_V of a row partial isometry.
 
-    Evaluates D(Z)^{-1} N(Z) on the canonical-frame compression, where
-    D(Z) = gamma0* [I - Z V^*]^{-1} gamma0 and
-    N(Z) = gamma0* [I - Z V^*]^{-1} [I (x) Z] gammaInf, all amplified to
-    the level of Z.  Satisfies B_V(0) = 0.
+    The transfer function gamma0* [I - Z V^*]^{-1} [I (x) Z] gammaInf of
+    the colligation (A_j = V_j^*, B_j = the j-th block of gammaInf,
+    C = gamma0*, D = 0), amplified to the level of Z.  The paper's
+    denominator gamma0* [I - Z V^*]^{-1} gamma0 is the identity, since
+    V_j^* gamma0 = 0 for every j.  Satisfies B_V(0) = 0.
     """
     return _frames_char_fn(V, canonical_frames(V, tol), tol)
 
 
 def _frames_char_fn(V, frames, tol):
-    g0 = frames.gamma0
-    m, p = g0.shape
-    q = frames.gammaInf.shape[1]
-    g_inf_blocks = [frames.gammaInf[j * m : (j + 1) * m, :] for j in range(V.d)]
-
-    def ev(Z):
-        n = Z.n
-        if p == 0 or q == 0:
-            return np.zeros((p * n, q * n), dtype=complex)
-        # [I - Z V^*] is the adjoint of the model-map pencil [I - V Z^*]
-        pencil = pencil_tz_star(V.ops, Z).conj().T
-        G0 = coeff_lift(g0, n)
-        rhs = np.hstack([G0, point_block(Z, g_inf_blocks)])
-        sol = np.linalg.solve(pencil, rhs)
-        D = G0.conj().T @ sol[:, : p * n]
-        N = G0.conj().T @ sol[:, p * n :]
-        return _solve_pencil(D, N, tol, exc=DenominatorSingular, limit=1e12)
-
-    return SchurSampler(d=V.d, input_dim=q, output_dim=p, evaluator=ev, tag="char_fn")
+    m = V.m
+    g_inf = frames.gammaInf
+    colligation = Colligation(
+        A=tuple(Vj.conj().T for Vj in V.ops),
+        B=tuple(g_inf[j * m : (j + 1) * m, :] for j in range(V.d)),
+        C=frames.gamma0.conj().T,
+        D=np.zeros((frames.gamma0.shape[1], g_inf.shape[1])),
+    )
+    return _transfer_sampler(colligation, tol, "char_fn")
 
 
 def char_fn(T, tol=DEFAULT_TOL):
     """Characteristic function B_T of a row contraction.
 
-    Built as the operator-Moebius transform of B_V at minus the defect
-    point: B_T(Z) = D_{delta*} (I + B_V(Z) delta*)^{-1} (B_V(Z) + delta)
+    The operator-Moebius map of B_V at minus the defect point:
+    B_T(Z) = D_{delta*} (I + B_V(Z) delta*)^{-1} (B_V(Z) + delta)
     D_delta^{-1}, amplified per level.  Satisfies B_T(0) = delta.
     """
     V = iso_pure_decompose(T, tol).V
     frames = canonical_frames(V, tol)
     B_V = _frames_char_fn(V, frames, tol)
-    delta = _frames_defect_point(T, frames)
-    D_delta_inv = pinv(
-        psd_sqrt(np.eye(delta.shape[1]) - delta.conj().T @ delta, tol), tol
-    )
-    D_delta_star = psd_sqrt(np.eye(delta.shape[0]) - delta @ delta.conj().T, tol)
-
-    def ev(Z):
-        n = Z.n
-        BZ = B_V(Z)
-        denom = np.eye(BZ.shape[0], dtype=complex) + BZ @ coeff_lift(delta.conj().T, n)
-        core = np.linalg.solve(denom, BZ + coeff_lift(delta, n))
-        return coeff_lift(D_delta_star, n) @ core @ coeff_lift(D_delta_inv, n)
-
+    forward, _ = _moebius_maps(-_frames_defect_point(T, frames), tol)
     return SchurSampler(
         d=T.d,
         input_dim=B_V.input_dim,
         output_dim=B_V.output_dim,
-        evaluator=ev,
+        evaluator=lambda Z: forward(B_V(Z), Z.n),
         tag="char_fn",
     )
 
@@ -169,30 +151,20 @@ def popescu_char(T, tol=DEFAULT_TOL):
     """Sz.-Nagy--Foias--Popescu characteristic function Theta_T.
 
     Theta_T(Z) = (-T + D_{T*} [I - Z T^*]^{-1} [I (x) Z] D_T) compressed to
-    the defect ranges, amplified per level.
+    the defect ranges, amplified per level: the transfer function of the
+    Julia colligation with input maps B_j F_in, output map F_out* C and
+    feedthrough F_out* D F_in.
     """
-    D_T, D_Tstar = defects(T, tol)
-    F_in = orthonormal_range(D_T, tol)
-    F_out = orthonormal_range(D_Tstar, tol)
-    m = T.m
-    lifted_in = D_T @ F_in
-    in_blocks = [lifted_in[j * m : (j + 1) * m, :] for j in range(T.d)]
-    const = -F_out.conj().T @ T.row() @ F_in
-    left = F_out.conj().T @ D_Tstar
-
-    def ev(Z):
-        n = Z.n
-        pencil = pencil_tz_star(T.ops, Z).conj().T
-        sol = np.linalg.solve(pencil, point_block(Z, in_blocks))
-        return coeff_lift(const, n) + coeff_lift(left, n) @ sol
-
-    return SchurSampler(
-        d=T.d,
-        input_dim=F_in.shape[1],
-        output_dim=F_out.shape[1],
-        evaluator=ev,
-        tag="popescu",
+    julia = julia_matrix(T, tol)
+    F_in = orthonormal_range(np.vstack(julia.B), tol)
+    F_out = orthonormal_range(julia.C, tol)
+    colligation = Colligation(
+        A=julia.A,
+        B=tuple(Bj @ F_in for Bj in julia.B),
+        C=F_out.conj().T @ julia.C,
+        D=F_out.conj().T @ julia.D @ F_in,
     )
+    return _transfer_sampler(colligation, tol, "popescu")
 
 
 def _moebius_defects(alpha, tol):

@@ -45,10 +45,6 @@ class OutsideBall(NcdbrError):
     """A point lies outside the open row ball."""
 
 
-class DenominatorSingular(NcdbrError):
-    pass
-
-
 class SingularPencil(NcdbrError):
     pass
 

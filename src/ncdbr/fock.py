@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, NotCNC
 from .ncspace import pencil_tz_star, sample_ball_point, words_up_to
 from .numerics import DEFAULT_TOL, orthonormal_range, pinv
 from .numerics import _as_complex, _fix_column_phases, _psd_eigenvalues
-from .rowcontraction import cnc_rank, defects
+from .rowcontraction import _cnc_report, _defect_star
 
 __all__ = [
     "TruncatedFock",
@@ -153,9 +153,13 @@ def kernel_vector(space, Z, g, x, u):
     Its operator-range inner product against f in the space reproduces
     <g (x) x, f(Z) u> up to the truncation tail.
     """
+    return space.range_frame @ _kernel_coords(space, Z, g, x, u)
+
+
+def _kernel_coords(space, Z, g, x, u):
+    """Range-frame coordinates diag(w) F* s of kernel_vector."""
     sz = _szego_vector(space.ambient, Z, g, x, u)
-    F = space.range_frame
-    return F @ ((F.conj().T @ sz) / space.gram.diagonal())
+    return (space.range_frame.conj().T @ sz) / space.gram.diagonal()
 
 
 def eval_vector(vec, f, Z):
@@ -175,14 +179,18 @@ def _contract_level(vec, n, dim, u):
 
 def _model_space(T, N, tol):
     """The truncated model space of T and the embedded output frame
-    D_T* F_out, from one thin SVD of the observability map O_N.
+    D_T* F_out, from one thin SVD of the observability map O_N; raises
+    NotCNC first when T is not CNC.
 
     I - B_L B_L* = O_N O_N* for the truncated multiplier B_L of the Julia
     colligation; the block of O_N at word w is F_out* D_T* (T*)^w, the
     Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).
     """
-    _, D_Tstar = defects(T, tol)
+    # one D_T* serves the CNC check and the model space
+    D_Tstar = _defect_star(T, tol)
     F_out = orthonormal_range(D_Tstar, tol)
+    if not _cnc_report(T, F_out, tol).is_cnc:
+        raise NotCNC("model verification needs a CNC row contraction")
     ambient = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
     first = F_out.conj().T @ D_Tstar
     O_N = _word_blocks(first, [Tj.conj().T for Tj in T.ops], N)
@@ -203,22 +211,19 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     the intertwining residual is r^(2N+1) (1 - r^2)/(1 - r^(2N+2)) up to a
     relative error of at most the frame residual, so it decays like r^(2N).
     """
-    report_cnc = cnc_rank(T, tol)
-    if not report_cnc.is_cnc:
-        raise NotCNC("model verification needs a CNC row contraction")
     space, seed_vec = _model_space(T, N, tol)
     p = space.ambient.coeff_dim
     m = T.m
     d = T.d
     X = gleason_extremal(space)
-    F = space.range_frame
     G = space.gram
     G_half = np.diag(np.sqrt(G.diagonal()))
 
     # coordinates of K_0 g for the basis vectors g of the output space
     Z0 = sample_ball_point(d, 1, 0.0, 0)
-    K0 = [kernel_vector(space, Z0, g, np.ones(1), np.ones(1)) for g in np.eye(p)]
-    K0_coord = F.conj().T @ np.column_stack(K0)
+    K0_coord = np.column_stack(
+        [_kernel_coords(space, Z0, g, np.ones(1), np.ones(1)) for g in np.eye(p)]
+    )
 
     levels = [1, 2, 2, 1, 2]
     sources = []
@@ -238,7 +243,7 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
             w = _contract_level(np.linalg.solve(pencil_X, rhs_X), n, space.dim, u)
             sources.append(v)
             targets.append(w)
-            direct = F.conj().T @ kernel_vector(space, Z, np.eye(p)[gi], x, u)
+            direct = _kernel_coords(space, Z, np.eye(p)[gi], x, u)
             kernel_resid = max(kernel_resid, float(np.linalg.norm(G_half @ (w - direct))))
     V_mat = np.array(sources).T
     W_mat = np.array(targets).T

@@ -27,8 +27,6 @@ __all__ = [
     "words_up_to",
     "zero_tuple",
     "coeff_lift",
-    "op_tensor",
-    "pencil_zt_star",
     "pencil_tz_star",
     "point_block",
 ]
@@ -167,25 +165,11 @@ def words_up_to(d, N):
     return out
 
 
-# Layout helpers.  op_tensor(A, M) is the matrix of A (x) M with A acting
-# on the fast coefficient index.
-
-def op_tensor(A, M):
-    return np.kron(np.asarray(M, dtype=complex), np.asarray(A, dtype=complex))
-
+# Layout helpers: the coefficient operator acts on the fast index.
 
 def coeff_lift(A, n):
     """Matrix of A (x) I_n (amplification of a coefficient operator)."""
     return np.kron(np.eye(n), np.asarray(A, dtype=complex))
-
-
-def pencil_zt_star(ops, Z):
-    """I - sum_j T_j^* (x) Z_j, the resolvent pencil written [I - Z T^*]."""
-    m = np.asarray(ops[0]).shape[0]
-    out = np.eye(m * Z.n, dtype=complex)
-    for Tj, Zj in zip(ops, Z.coords):
-        out -= np.kron(Zj, np.asarray(Tj, dtype=complex).conj().T)
-    return out
 
 
 def pencil_tz_star(ops, Z):

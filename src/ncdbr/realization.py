@@ -81,9 +81,7 @@ def transfer_eval(c, X, tol=DEFAULT_TOL):
     if X.d != c.d:
         raise DimensionMismatch("tuple and colligation disagree on d")
     n = X.n
-    pencil = np.eye(c.state_dim * n, dtype=complex)
-    for Xj, Aj in zip(X.coords, c.A):
-        pencil -= np.kron(Xj, Aj)
+    pencil = np.eye(c.state_dim * n) - point_block(X, c.A)
     sv = np.linalg.svd(pencil, compute_uv=False)
     if sv[-1] <= tol.rank_rel * sv[0]:
         raise SingularPencil("pencil condition %.3e" % (sv[0] / max(sv[-1], 1e-300)))

@@ -93,8 +93,13 @@ def defects(T, tol=DEFAULT_TOL):
     and I - TT* (m x m)."""
     row = T.row()
     D_T = psd_sqrt(np.eye(T.m * T.d) - row.conj().T @ row, tol)
-    D_Tstar = psd_sqrt(np.eye(T.m) - row @ row.conj().T, tol)
-    return D_T, D_Tstar
+    return D_T, _defect_star(T, tol)
+
+
+def _defect_star(T, tol):
+    """D_Tstar alone, for callers that never use the md x md D_T."""
+    row = T.row()
+    return psd_sqrt(np.eye(T.m) - row @ row.conj().T, tol)
 
 
 def iso_pure_decompose(T, tol=DEFAULT_TOL):
@@ -118,8 +123,11 @@ def cnc_rank(T, tol=DEFAULT_TOL):
 
     T is completely non-coisometric exactly when this span is everything.
     """
-    _, D_Tstar = defects(T, tol)
-    seed = orthonormal_range(D_Tstar, tol)
+    return _cnc_report(T, orthonormal_range(_defect_star(T, tol), tol), tol)
+
+
+def _cnc_report(T, seed, tol):
+    """cnc_rank from an orthonormal frame seed of Ran D_Tstar."""
     if seed.shape[1] == 0:
         return CncReport(dim=0, is_cnc=(T.m == 0), stabilized_at=0)
     frame, steps = stabilized_span(T.ops, seed, tol)

@@ -24,11 +24,19 @@ from ncdbr.ncspace import (
     coeff_lift,
     conjugate,
     direct_sum,
+    point_block,
     row_norm,
     sample_ball_point,
 )
 from ncdbr.numerics import DEFAULT_TOL
-from ncdbr.rowcontraction import RowContraction, canonical_frames, defect_point
+from ncdbr.realization import transfer_eval
+from ncdbr.rowcontraction import (
+    RowContraction,
+    canonical_frames,
+    defect_point,
+    iso_pure_decompose,
+    reconstruct,
+)
 
 JORDAN = RowContraction((np.array([[0.0, 0.0], [1.0, 0.0]]),))
 HALF = RowContraction((np.array([[0.5]]),))
@@ -449,3 +457,82 @@ def test_weak_coincidence_evaluates_once_per_point():
     assert ok and res < 1e-8
     # Z = 0, six fit points and four holdout points
     assert calls.count("B1") == calls.count("B2") == 11
+
+
+def _bv_quotient(V, Z):
+    """The paper's D(Z) and D(Z)^{-1} N(Z), with
+    D(Z) = gamma0* [I - Z V^*]^{-1} gamma0 and
+    N(Z) = gamma0* [I - Z V^*]^{-1} [I (x) Z] gammaInf."""
+    frames = canonical_frames(V)
+    m, n = V.m, Z.n
+    pencil = np.eye(m * n, dtype=complex)
+    for Zj, Vj in zip(Z.coords, V.ops):
+        pencil -= np.kron(Zj, Vj.conj().T)
+    G0 = coeff_lift(frames.gamma0, n)
+    blocks = [frames.gammaInf[j * m : (j + 1) * m] for j in range(V.d)]
+    D = G0.conj().T @ np.linalg.solve(pencil, G0)
+    N = G0.conj().T @ np.linalg.solve(pencil, point_block(Z, blocks))
+    return D, np.linalg.solve(D, N)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rank", [0, 1, 3])
+def test_bv_denominator_is_identity(d, rank):
+    # gamma0 spans Ker V*, so [I - Z V^*]^{-1} fixes gamma0 (x) I and the
+    # denominator D(Z) is the identity; B_V is the numerator alone
+    m = 3
+    for seed in range(3):
+        V = random_partial_isometry(200 + 10 * d + seed, d, m, rank)
+        B = char_fn_partial_isometry(V)
+        for n in (1, 2, 3, 4):
+            Z = sample_ball_point(d, n, 0.7, 300 + 10 * seed + n)
+            D, want = _bv_quotient(V, Z)
+            if D.size:
+                assert np.linalg.norm(D - np.eye(D.shape[0]), 2) <= 1e-13
+            value = B(Z)
+            assert value.shape == want.shape
+            if want.size:
+                assert np.abs(value - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d, m, rank", [(1, 3, 1), (2, 2, 1), (2, 3, 2), (3, 2, 1)])
+def test_char_fn_of_mixed_is_moebius_of_bv(d, m, rank):
+    V = random_partial_isometry(400 + d, d, m, rank)
+    frames = canonical_frames(V)
+    shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
+    rng = np.random.default_rng(d + m)
+    delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    delta *= 0.6 / np.linalg.norm(delta, 2)
+    T = reconstruct(V, delta)
+    assert np.linalg.norm(iso_pure_decompose(T).V.row() - V.row(), 2) < 1e-12
+    B = char_fn(T)
+    B_V = char_fn_partial_isometry(V)
+    alpha = -defect_point(T)
+    assert np.linalg.norm(alpha + delta, 2) < 1e-12
+    for Z in ball_points(d, 6, radius=0.6, seed=500, levels=(1, 2, 3)):
+        assert np.abs(B(Z) - moebius(alpha, B_V(Z))).max() <= 1e-12
+
+
+def test_empty_frames_evaluate_through_transfer_eval(monkeypatch):
+    import ncdbr.charfn
+
+    calls = []
+
+    def counted(c, X, tol=DEFAULT_TOL):
+        calls.append((c.output_dim, c.input_dim))
+        return transfer_eval(c, X, tol)
+
+    monkeypatch.setattr(ncdbr.charfn, "transfer_eval", counted)
+    rng = np.random.default_rng(12)
+    U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    unitary = RowContraction((U,))
+    coisometry = random_partial_isometry(13, 2, 2, 2)
+    zero = RowContraction((np.zeros((2, 2)), np.zeros((2, 2))))
+    # (p, q) = (m - rank, md - rank)
+    for V, p, q in ((unitary, 0, 0), (coisometry, 0, 2), (zero, 2, 4)):
+        for Z in ball_points(V.d, 2, radius=0.6, seed=600):
+            calls.clear()
+            value = char_fn_partial_isometry(V)(Z)
+            assert calls == [(p, q)]
+            assert value.shape == (p * Z.n, q * Z.n)
+            assert char_fn(V)(Z).shape == value.shape

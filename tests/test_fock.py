@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,23 @@ def test_model_verify_rejects_non_cnc():
     U = RowContraction((np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),))
     with pytest.raises(NotCNC):
         model_verify(U, 3)
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2)])
+def test_model_verify_roots_one_defect(monkeypatch, d, m):
+    # the CNC check and the model space share one D_T*, and the md x md
+    # D_T, which model_verify never reads, is not rooted
+    calls = []
+
+    def counted(A, tol=DEFAULT_TOL):
+        calls.append(A.shape)
+        return psd_sqrt(A, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ncdbr") and getattr(module, "psd_sqrt", None) is psd_sqrt:
+            monkeypatch.setattr(module, "psd_sqrt", counted)
+    T = random_contraction(40 + d, d, m, norm=0.8)
+    rep = model_verify(T, 3)
+    assert calls == [(m, m)]
+    monkeypatch.undo()
+    assert rep == model_verify(T, 3)

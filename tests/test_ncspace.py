@@ -9,9 +9,7 @@ from ncdbr.ncspace import (
     conjugate,
     direct_sum,
     in_row_ball,
-    op_tensor,
     pencil_tz_star,
-    pencil_zt_star,
     point_block,
     row_norm,
     sample_ball_point,
@@ -102,8 +100,6 @@ def test_words_up_to_graded_lex():
 
 def test_layout_helpers():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(op_tensor(A, M), np.kron(M, A))
     assert np.array_equal(coeff_lift(A, 2), np.kron(np.eye(2), A))
 
 
@@ -111,10 +107,6 @@ def test_pencils_scalar_oracle():
     T = [np.array([[0.5]])]
     Z = MatrixTuple((np.array([[0.3 + 0.1j]]),))
     assert np.allclose(pencil_tz_star(T, Z), 1 - 0.5 * (0.3 - 0.1j))
-    assert np.allclose(pencil_zt_star(T, Z), 1 - 0.5 * (0.3 + 0.1j))
-    assert np.allclose(
-        pencil_zt_star(T, Z), pencil_tz_star(T, Z).conj().T
-    )
 
 
 def test_point_block_matches_lift():
