@@ -355,7 +355,11 @@ def _right_rows(A):
 def _null_vectors(A, tol):
     """Right singular vectors of A with sigma <= rank_rel * sigma_max, at
     least one.  With fewer rows than columns every direction outside the
-    row space is null too, so V is then computed complete."""
+    row space is null too, so V is then computed complete.  A taller A is
+    first reduced to the square R of its QR factorization, which has the
+    same singular values and right singular vectors."""
+    if A.shape[0] > A.shape[1]:
+        A = np.linalg.qr(A, mode="r")
     _, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     return Vh[min(_svd_rank(s, tol), A.shape[1] - 1) :].conj().T
 

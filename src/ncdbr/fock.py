@@ -143,7 +143,7 @@ def gleason_extremal(space):
 def _szego_vector(f, Z, g, x, u):
     rows = _word_blocks(np.conj(x)[None], Z.coords, f.N)
     coeffs = np.conj(rows[:, 0] @ np.asarray(u, dtype=complex))
-    return np.kron(coeffs, np.asarray(g, dtype=complex))
+    return np.outer(coeffs, np.asarray(g, dtype=complex)).ravel()
 
 
 def kernel_vector(space, Z, g, x, u):
@@ -237,9 +237,9 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
         for gi in range(p):
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            rhs_T = np.kron(x, seed_vec[:, gi])
+            rhs_T = np.outer(x, seed_vec[:, gi]).ravel()
             v = _contract_level(np.linalg.solve(pencil_T, rhs_T), n, m, u)
-            rhs_X = np.kron(x, K0_coord[:, gi])
+            rhs_X = np.outer(x, K0_coord[:, gi]).ravel()
             w = _contract_level(np.linalg.solve(pencil_X, rhs_X), n, space.dim, u)
             sources.append(v)
             targets.append(w)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, NearBoundary
-from .ncspace import row_norm
+from .ncspace import _kron_sum, row_norm
 
 __all__ = [
     "ad_map",
@@ -41,10 +41,7 @@ def _szego_system(Z, W):
     r = row_norm(Z) * row_norm(W)
     if r >= (1.0 - 1e-6) ** 2:
         warnings.warn("kernel solve near the row-ball boundary", NearBoundary)
-    M = np.eye(Z.n * W.n, dtype=complex)
-    for Zj, Wj in zip(Z.coords, W.coords):
-        M -= np.kron(Wj.conj(), Zj)
-    return M
+    return np.eye(Z.n * W.n) - _kron_sum([Wj.conj() for Wj in W.coords], Z.coords)
 
 
 def szego_kernel(Z, W, P):
@@ -76,8 +73,8 @@ def dbr_kernel(B, Z, W, P):
     """de Branges-Rovnyak kernel value K (x) I - B(Z) (K (x) I) B(W)*
     with K the Szego kernel value at (Z, W, P)."""
     K = szego_kernel(Z, W, P)
-    lifted_out = np.kron(K, np.eye(B.output_dim))
-    lifted_in = np.kron(K, np.eye(B.input_dim))
+    lifted_out = _kron_sum([K], [np.eye(B.output_dim)])
+    lifted_in = _kron_sum([K], [np.eye(B.input_dim)])
     return lifted_out - B(Z) @ lifted_in @ B(W).conj().T
 
 

@@ -4,6 +4,11 @@ Layout convention, fixed once for the whole toolkit: an operator on
 X (x) C^n is stored with the coefficient space X as the fast index, so
 the matrix of sum_j T_j (x) M_j is sum_j kron(M_j, T_j). Every formula
 below and in the higher modules is normalized into this single layout.
+
+Every level lift is built by one of two primitives and never by np.kron:
+`coeff_lift` places a coefficient map on the block diagonal (I_n (x) A),
+and `_kron_sum` forms sum_j kron(L_j, R_j) as one einsum, which serves
+`point_block`, `pencil_tz_star` and the kernel systems.
 """
 
 from dataclasses import dataclass, field
@@ -168,24 +173,32 @@ def words_up_to(d, N):
 # Layout helpers: the coefficient operator acts on the fast index.
 
 def coeff_lift(A, n):
-    """Matrix of A (x) I_n (amplification of a coefficient operator)."""
-    return np.kron(np.eye(n), np.asarray(A, dtype=complex))
+    """Matrix of A (x) I_n (amplification of a coefficient operator): A is
+    written into the n diagonal blocks of a zero (n, p, n, q) tensor."""
+    A = np.asarray(A, dtype=complex)
+    out = np.zeros((n, A.shape[0], n, A.shape[1]), dtype=complex)
+    idx = np.arange(n)
+    out[idx, :, idx, :] = A
+    return out.reshape(n * A.shape[0], n * A.shape[1])
+
+
+def _kron_sum(lefts, rights):
+    """sum_j kron(lefts[j], rights[j]) for d-stacks of equal-shape
+    matrices, as one einsum over the stacks."""
+    L = np.asarray(lefts, dtype=complex)
+    R = np.asarray(rights, dtype=complex)
+    _, a, b = L.shape
+    _, c, e = R.shape
+    return np.einsum("jab,jce->acbe", L, R).reshape(a * c, b * e)
 
 
 def pencil_tz_star(ops, Z):
     """I - sum_j T_j (x) Z_j^*, the pencil written [I - T Z^*]."""
     m = np.asarray(ops[0]).shape[0]
-    out = np.eye(m * Z.n, dtype=complex)
-    for Tj, Zj in zip(ops, Z.coords):
-        out -= np.kron(Zj.conj().T, np.asarray(Tj, dtype=complex))
-    return out
+    return np.eye(m * Z.n) - _kron_sum([Zj.conj().T for Zj in Z.coords], ops)
 
 
 def point_block(Z, blocks):
     """sum_j kron(Z_j, blocks[j]); the lift of [I_H (x) Z] applied to a
     d-stack of coefficient maps."""
-    first = np.asarray(blocks[0], dtype=complex)
-    out = np.zeros((first.shape[0] * Z.n, first.shape[1] * Z.n), dtype=complex)
-    for Zj, Bj in zip(Z.coords, blocks):
-        out += np.kron(Zj, np.asarray(Bj, dtype=complex))
-    return out
+    return _kron_sum(Z.coords, blocks)

@@ -28,7 +28,7 @@ from ncdbr.ncspace import (
     row_norm,
     sample_ball_point,
 )
-from ncdbr.numerics import DEFAULT_TOL
+from ncdbr.numerics import DEFAULT_TOL, _svd_rank
 from ncdbr.realization import transfer_eval
 from ncdbr.rowcontraction import (
     RowContraction,
@@ -290,6 +290,32 @@ def test_null_vectors_with_fewer_rows_than_unknowns():
     s = np.linalg.svd(A, compute_uv=False)
     assert N.shape == (4, 1)
     assert abs(np.linalg.norm(A @ N) - s[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_null_vectors_of_tall_matrix_match_full_svd(k):
+    # planted null space of dimension k: one singular value at 0.1 x the
+    # cutoff and k - 1 zeros, with a kept one at 10 x the cutoff
+    cut = DEFAULT_TOL.rank_rel
+    for seed in range(4):
+        rng = np.random.default_rng(10 * seed + k)
+        rows, cols = 150, 24
+        U, V = (
+            np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+            for shape in ((rows, cols), (cols, cols))
+        )
+        s = np.concatenate(
+            [[1.0], rng.uniform(0.1, 1.0, cols - k - 2), [10 * cut, 0.1 * cut], np.zeros(k - 1)]
+        )
+        A = (U * s) @ V.conj().T
+        _, sr, Vh = np.linalg.svd(A)
+        ref = Vh[_svd_rank(sr, DEFAULT_TOL) :].conj().T
+        N = _null_vectors(A, DEFAULT_TOL)
+        assert N.shape == ref.shape == (cols, k)
+        assert np.linalg.norm(N @ N.conj().T - ref @ ref.conj().T, 2) <= 1e-12
+        # both sit within round-off over the 1e-9 gap of the planted space
+        planted = V[:, cols - k :]
+        assert np.linalg.norm(N @ N.conj().T - planted @ planted.conj().T, 2) <= 1e-6
 
 
 def test_weak_coincidence_support_mismatch():

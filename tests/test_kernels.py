@@ -5,7 +5,14 @@ from conftest import random_contraction
 from ncdbr import char_fn
 from ncdbr.charfn import SchurSampler
 from ncdbr.errors import DimensionMismatch, NearBoundary
-from ncdbr.kernels import ad_map, cp_check, dbr_kernel, szego_kernel, szego_series
+from ncdbr.kernels import (
+    _szego_system,
+    ad_map,
+    cp_check,
+    dbr_kernel,
+    szego_kernel,
+    szego_series,
+)
 from ncdbr.ncspace import MatrixTuple, sample_ball_point
 
 
@@ -106,3 +113,44 @@ def test_cp_check_evaluates_sampler_once():
             choi[p * k : (p + 1) * k, q * k : (q + 1) * k] = dbr_kernel(B, Z, Z, E)
     expected = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0]
     assert abs(min_eig - expected) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_szego_system_matches_kron_reference(d):
+    # mixed levels: Z and W need not share a level
+    for n, k in ((1, 1), (1, 3), (2, 3), (4, 2)):
+        Z = sample_ball_point(d, n, 0.6, 60 + n)
+        W = sample_ball_point(d, k, 0.6, 70 + k)
+        ref = np.eye(n * k) - sum(np.kron(Wj.conj(), Zj) for Zj, Wj in zip(Z.coords, W.coords))
+        gap = np.linalg.norm(_szego_system(Z, W) - ref)
+        assert gap <= 1e-15 * np.linalg.norm(ref)
+
+
+def _dbr_kernel_kron(B, Z, W, P):
+    """The de Branges-Rovnyak kernel with its K (x) I lifts and the Szego
+    system written with np.kron."""
+    M = np.eye(Z.n * W.n) - sum(np.kron(Wj.conj(), Zj) for Zj, Wj in zip(Z.coords, W.coords))
+    K = np.linalg.solve(M, P.ravel(order="F")).reshape(P.shape, order="F")
+    lifted_out = np.kron(K, np.eye(B.output_dim))
+    lifted_in = np.kron(K, np.eye(B.input_dim))
+    return lifted_out - B(Z) @ lifted_in @ B(W).conj().T
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (2, 2), (3, 2)])
+def test_dbr_kernel_and_cp_check_match_kron_reference(d, m):
+    B = char_fn(random_contraction(80 + d, d, m))
+    rng = np.random.default_rng(d)
+    for n, k in ((1, 2), (2, 2), (3, 1)):
+        Z = sample_ball_point(d, n, 0.6, 90 + n)
+        W = sample_ball_point(d, k, 0.6, 95 + k)
+        P = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        assert np.abs(dbr_kernel(B, Z, W, P) - _dbr_kernel_kron(B, Z, W, P)).max() <= 1e-14
+        o = B.output_dim * n
+        choi = np.zeros((n * o, n * o), dtype=complex)
+        for p in range(n):
+            for q in range(n):
+                E = np.zeros((n, n))
+                E[p, q] = 1.0
+                choi[p * o : (p + 1) * o, q * o : (q + 1) * o] = _dbr_kernel_kron(B, Z, Z, E)
+        expected = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0]
+        assert abs(cp_check(B, Z)[0] - expected) <= 1e-14

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ncdbr import ncspace
 from ncdbr.errors import DimensionMismatch, NotFinite, SingularSimilarity
 from ncdbr.ncspace import (
     FreeWord,
@@ -98,9 +102,20 @@ def test_words_up_to_graded_lex():
     ]
 
 
-def test_layout_helpers():
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_layout_helpers(rng):
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(coeff_lift(A, 2), np.kron(np.eye(2), A))
+    # rectangular and empty frames at every sampled level
+    for p, q in ((2, 3), (3, 1), (0, 3), (3, 0), (0, 0)):
+        A = _complex(rng, p, q)
+        for n in range(1, 9):
+            lifted = coeff_lift(A, n)
+            assert lifted.shape == (n * p, n * q)
+            assert np.array_equal(lifted, np.kron(np.eye(n), A))
 
 
 def test_pencils_scalar_oracle():
@@ -122,3 +137,41 @@ def test_point_block_matches_lift():
 def test_zero_tuple():
     Z = zero_tuple(2, 3)
     assert Z.d == 2 and Z.n == 3 and row_norm(Z) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kron_sums_match_kron_references(rng, d):
+    for n, (r, s) in ((1, (2, 2)), (2, (3, 1)), (3, (2, 4)), (4, (1, 1))):
+        Z = sample_ball_point(d, n, 0.5, 40 + n)
+        blocks = [_complex(rng, r, s) for _ in range(d)]
+        ref = sum(np.kron(Zj, Bj) for Zj, Bj in zip(Z.coords, blocks))
+        assert np.linalg.norm(point_block(Z, blocks) - ref) <= 1e-15 * np.linalg.norm(ref)
+        ops = [_complex(rng, r, r) for _ in range(d)]
+        ref = np.eye(r * n) - sum(np.kron(Zj.conj().T, Tj) for Zj, Tj in zip(Z.coords, ops))
+        gap = np.linalg.norm(pencil_tz_star(ops, Z) - ref)
+        assert gap <= 1e-15 * np.linalg.norm(ref)
+
+
+def _is_numpy_kron(node):
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr == "kron"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy" and any(a.name == "kron" for a in node.names)
+    return False
+
+
+def test_library_builds_no_kron():
+    # every level lift goes through coeff_lift or the kron sum; tests may
+    # still use np.kron as the reference
+    src = Path(ncspace.__file__).parent
+    uses = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _is_numpy_kron(node)
+    ]
+    assert uses == []
