@@ -22,6 +22,7 @@ from .errors import (
 )
 from .ncspace import (
     MatrixTuple,
+    _kron_sum,
     coeff_lift,
     pencil_tz_star,
     row_norm,
@@ -339,17 +340,46 @@ def _polar_unitary(M):
     return W @ Vh
 
 
-def _left_rows(A):
-    """Matrix of U -> (U (x) I) A on the row-major vec(U), for a value A
-    given as its 4-d block view (n, r, n, s)."""
-    r = A.shape[1]
-    return np.einsum("xy,icjb->ixjbyc", np.eye(r), A).reshape(A.size, r * r)
+def _coefficient_blocks(B, points, values, supp_in, supp_out):
+    """Every coefficient block of the values at the points, compressed to
+    the supports, as one (sum of n^2, p, q) stack."""
+    blocks = [
+        _value_blocks(B, V, Z.n).transpose(0, 2, 1, 3).reshape(Z.n**2, B.output_dim, B.input_dim)
+        for Z, V in zip(points, values)
+    ]
+    return supp_out.conj().T @ np.concatenate(blocks) @ supp_in
 
 
-def _right_rows(A):
-    """Matrix of U -> A (U (x) I) on the row-major vec(U)."""
-    s = A.shape[3]
-    return np.einsum("iajc,xy->iajxcy", A, np.eye(s)).reshape(A.size, s * s)
+def _constraint_gram(A, C):
+    """Gram L*L of the constraint map
+    L(X, Y) = (X A_k - C_k Y, Y A_k* - C_k* X)_k on the row-major
+    (vec X, vec Y), for stacks A, C of p x q blocks, in closed form:
+    G_XX = I (x) (sum A_k A_k*)^T + (sum C_k C_k*) (x) I,
+    G_YY = (sum C_k* C_k) (x) I + I (x) (sum A_k* A_k)^T and
+    G_XY = -2 sum_k C_k (x) conj(A_k), where the direct and the adjoint
+    relation contribute one cross term each."""
+    k, p, q = A.shape
+    A_rows = A.transpose(1, 0, 2).reshape(p, k * q)
+    C_rows = C.transpose(1, 0, 2).reshape(p, k * q)
+    A_cols = A.reshape(k * p, q)
+    C_cols = C.reshape(k * p, q)
+    I_p, I_q = np.eye(p), np.eye(q)
+    G_XX = _kron_sum([I_p, C_rows @ C_rows.conj().T], [(A_rows @ A_rows.conj().T).T, I_p])
+    G_YY = _kron_sum([C_cols.conj().T @ C_cols, I_q], [I_q, (A_cols.conj().T @ A_cols).T])
+    G_XY = -2.0 * _kron_sum(C, A.conj())
+    return np.block([[G_XX, G_XY], [G_XY.conj().T, G_YY]])
+
+
+def _apply_constraints(A, C, V):
+    """L applied to the columns of V, unknowns on the row-major
+    (vec X, vec Y), as the columns of a (2 k p q) x (columns of V) matrix."""
+    _, p, q = A.shape
+    c = V.shape[1]
+    X = V[: p * p].T.reshape(c, p, p)
+    Y = V[p * p :].T.reshape(c, q, q)
+    direct = np.einsum("cab,kbe->kaec", X, A) - np.einsum("kab,cbe->kaec", C, Y)
+    adjoint = np.einsum("cab,keb->kaec", Y, A.conj()) - np.einsum("kba,cbe->kaec", C.conj(), X)
+    return np.concatenate([direct.reshape(-1, c), adjoint.reshape(-1, c)])
 
 
 def _null_vectors(A, tol):
@@ -371,15 +401,23 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     One linear solve: at Z = 0 and at each fit point the relation and its
     adjoint (U_in (x) I) B1(Z)* = B2(Z)* (U_out (x) I) are linear in the
     pair (X, Y) = (U_out, U_in), so X (+) Y intertwines the self-adjoint
-    dilations [[0, Bi], [Bi*, 0]].  The null vectors of the stacked rows
-    (singular values at most rank_rel * sigma_max, at least one) span those
-    intertwiners; a fixed-seed complex combination of them is invertible,
-    and since the intertwiners are closed under adjoint its polar factors
-    are unitary intertwiners.  The residual is the worst holdout mismatch
-    and the verdict compares it to tol.
+    dilations [[0, Bi], [Bi*, 0]].  Blockwise the constraints read
+    X A_k = C_k Y and Y A_k* = C_k* X for the compressed coefficient
+    blocks A_k of B1 and C_k of B2.  Their Gram matrix is formed in closed
+    form, never the tall constraint matrix, and its eigenvectors with
+    eigenvalue at most rank_rel * lambda_max (at least one) are the
+    candidates: a superset of the directions with singular value at most
+    rank_rel * sigma_max.  The constraints applied to the candidates and
+    to the top eigenvector have the constraint matrix's singular values on
+    that span and its sigma_max, so the null vectors (singular values at
+    most rank_rel * sigma_max, at least one) are decided there; they span
+    the intertwiners.  A fixed-seed complex combination of them is
+    invertible, and since the intertwiners are closed under adjoint its
+    polar factors are unitary intertwiners.  The residual is the worst
+    holdout mismatch and the verdict compares it to tol.
     """
     # each sampler is evaluated once per point: at Z = 0 and the fit points
-    # here, for the supports and the constraint rows alike
+    # here, for the supports and the constraint blocks alike
     points = [zero_tuple(B1.d, 1)] + list(fit_points)
     values1 = [B1(Z) for Z in points]
     values2 = [B2(Z) for Z in points]
@@ -394,15 +432,15 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     if p == 0 and q == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, True
 
-    rows = []
-    for Z, V1, V2 in zip(points, values1, values2):
-        M1 = _value_blocks(R1, _compress(V1, s1_in, s1_out, Z.n), Z.n)
-        M2 = _value_blocks(R2, _compress(V2, s2_in, s2_out, Z.n), Z.n)
-        N1 = M1.conj().transpose(2, 3, 0, 1)
-        N2 = M2.conj().transpose(2, 3, 0, 1)
-        rows.append(np.hstack([_left_rows(M1), -_right_rows(M2)]))
-        rows.append(np.hstack([-_right_rows(N2), _left_rows(N1)]))
-    null = _null_vectors(np.vstack(rows), num_tol)
+    A = _coefficient_blocks(B1, points, values1, s1_in, s1_out)
+    C = _coefficient_blocks(B2, points, values2, s2_in, s2_out)
+    # G's eigenvalues are accurate to about eps * lambda_max, far below the
+    # preselection level; the basis holds the candidates and the top
+    # eigenvector, each once
+    w, E = np.linalg.eigh(_constraint_gram(A, C))
+    keep = max(1, int(np.count_nonzero(w <= num_tol.rank_rel * w[-1])))
+    basis = E[:, np.r_[: min(keep, w.size - 1), w.size - 1]]
+    null = basis @ _null_vectors(_apply_constraints(A, C, basis), num_tol)
     vec = null @ (np.random.default_rng(0).standard_normal((null.shape[1], 2)) @ [1.0, 1j])
     U_out = _polar_unitary(vec[: p * p].reshape(p, p))
     U_in = _polar_unitary(vec[p * p :].reshape(q, q))

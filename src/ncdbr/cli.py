@@ -9,6 +9,7 @@ malformed or invalid input.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -209,7 +210,6 @@ def build_parser():
         prog="ncdbr", description="Batch experiments for the NC model toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_tol = float(os.environ.get("NCDBR_TOL", "1e-8"))
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
@@ -217,17 +217,34 @@ def build_parser():
         p.add_argument("--radius", type=float, default=0.7)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--max-len", type=int, default=None)
-        p.add_argument("--tol", type=float, default=default_tol)
+        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
         if name == "poly-eval":
             p.add_argument("--expr", required=True)
     return parser
 
 
+def _check_args(args):
+    """Take --tol from NCDBR_TOL (default 1e-8) when it is absent, and
+    reject a tolerance that is not finite and positive and a point count
+    below 1, with which no verdict would check anything."""
+    if args.tol is None:
+        text = os.environ.get("NCDBR_TOL", "1e-8")
+        try:
+            args.tol = float(text)
+        except ValueError:
+            raise ValueError("NCDBR_TOL=%r is not a number" % text) from None
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError("tolerance must be finite and positive, got %r" % args.tol)
+    if args.points < 1:
+        raise ValueError("--points must be at least 1, got %d" % args.points)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        _check_args(args)
         digest, results, verdicts = COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, NcdbrError) as exc:
         print("input error: %s" % exc, file=sys.stderr)

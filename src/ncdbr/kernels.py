@@ -91,9 +91,11 @@ def cp_check(B, Z, threshold=-1e-9):
     o = B.output_dim
     K = np.linalg.inv(_szego_system(Z, Z)).reshape(n, n, n, n, order="F")
     BZ = B(Z).reshape(n, o, n, B.input_dim)
-    choi = np.einsum("ikpq,ac->piaqkc", K, np.eye(o)) - np.einsum(
-        "iajb,jlpq,kclb->piaqkc", BZ, K, BZ.conj(), optimize=True
-    )
+    # B(Z) (K_pq (x) I) B(Z)* in two fixed tensordot steps: sum over j,
+    # then over (l, b), giving the axes (i, a, p, q, k, c)
+    BK = np.tensordot(BZ, K, axes=([2], [0]))
+    BKB = np.tensordot(BK, BZ.conj(), axes=([2, 3], [3, 2])).transpose(2, 0, 1, 3, 4, 5)
+    choi = np.einsum("ikpq,ac->piaqkc", K, np.eye(o)) - BKB
     choi = choi.reshape(n * n * o, n * n * o)
     choi = (choi + choi.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(choi)[0])

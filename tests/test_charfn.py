@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import ncdbr.charfn as charfn_module
 from conftest import ball_points, random_contraction, random_partial_isometry
+from dense_coincidence import constraint_rows
 from ncdbr.charfn import (
     SchurSampler,
+    _apply_constraints,
+    _constraint_gram,
     _null_vectors,
     char_fn,
     char_fn_partial_isometry,
@@ -331,6 +335,110 @@ def test_weak_coincidence_support_mismatch():
     hold = ball_points(1, 3, seed=900)
     _, _, res, ok = weak_coincidence_fit(b1, zero, fit, hold)
     assert not ok and res == float("inf")
+
+
+def _random_values(rng, n, p, q):
+    shape = (n, p, n, q)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 1), (1, 1), (4, 0)])
+def test_constraint_gram_matches_dense_rows(p, q):
+    # values at levels 1..3; (4, 0) is an empty input support, where every
+    # constraint row is empty and the Gram is zero
+    rng = np.random.default_rng(10 * p + q)
+    pairs = [(_random_values(rng, n, p, q), _random_values(rng, n, p, q)) for n in (1, 2, 3, 2)]
+    rows = constraint_rows(pairs)
+    ref = rows.conj().T @ rows
+    A, C = (
+        np.concatenate([M.transpose(0, 2, 1, 3).reshape(len(M) ** 2, p, q) for M in stack])
+        for stack in zip(*pairs)
+    )
+    G = _constraint_gram(A, C)
+    assert G.shape == ref.shape == (p * p + q * q, p * p + q * q)
+    assert np.linalg.norm(G - ref, 2) <= 1e-12 * max(np.linalg.norm(ref, 2), 1.0)
+    # the constraints applied to a batch of unknowns have the dense rows'
+    # Gram on the batch, whatever the row order
+    basis = rng.standard_normal((p * p + q * q, 3)) + 1j * rng.standard_normal((p * p + q * q, 3))
+    applied = _apply_constraints(A, C, basis)
+    assert applied.shape == (rows.shape[0], 3)
+    gram = applied.conj().T @ applied
+    want = basis.conj().T @ ref @ basis
+    assert np.linalg.norm(gram - want, 2) <= 1e-12 * max(np.linalg.norm(want, 2), 1.0)
+
+
+def _spy_null_vectors(monkeypatch):
+    """Record (columns passed, null vectors returned) of every _null_vectors
+    call, with the Gram eigenvalues that preceded it."""
+    calls = []
+    eigenvalues = []
+    eigh = np.linalg.eigh
+    null_vectors = charfn_module._null_vectors
+
+    def spy_eigh(M):
+        w, E = eigh(M)
+        eigenvalues.append(w)
+        return w, E
+
+    def spy_null(A, tol):
+        N = null_vectors(A, tol)
+        calls.append((A.shape[1], N.shape[1], eigenvalues[-1]))
+        return N
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(charfn_module, "_null_vectors", spy_null)
+    return calls
+
+
+def _assert_tight_fit(U_out, U_in, res, ok):
+    assert ok and res <= 1e-12
+    for U in (U_out, U_in):
+        assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2) <= 1e-10
+
+
+def test_weak_coincidence_largest_popescu_fit(monkeypatch):
+    # d = 3, m = 6: the largest shape of the coincidence workload, with
+    # p = 6 and q = 18 unknown coefficient dimensions
+    calls = _spy_null_vectors(monkeypatch)
+    T = random_contraction(36, 3, 6)
+    U_out, U_in, res, ok = weak_coincidence_fit(
+        char_fn(T), popescu_char(T), ball_points(3, 6, seed=100), ball_points(3, 4, seed=900)
+    )
+    assert U_out.shape == (6, 6) and U_in.shape == (18, 18)
+    _assert_tight_fit(U_out, U_in, res, ok)
+    assert [null for _, null, _ in calls] == [1]
+
+
+def test_weak_coincidence_reducible_null_space_of_dimension_two(monkeypatch):
+    # T = A (+) B with m = 3 + 3: each summand's identity is an
+    # intertwiner, so the null space has dimension 2
+    calls = _spy_null_vectors(monkeypatch)
+    T = _direct_sum_contraction(random_contraction(32, 2, 3), random_contraction(42, 2, 3, norm=0.6))
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    T2 = RowContraction(tuple(Q @ op @ Q.conj().T for op in T.ops))
+    fit = ball_points(2, 6, seed=100)
+    hold = ball_points(2, 4, seed=900)
+    for B2 in (char_fn(T2), popescu_char(T)):
+        _assert_tight_fit(*weak_coincidence_fit(char_fn(T), B2, fit, hold))
+    assert [null for _, null, _ in calls] == [2, 2]
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_weak_coincidence_decides_rank_on_gram_candidates(monkeypatch, negative):
+    # the rank decision sees the candidates of the Gram eigenvalue
+    # preselection and the top eigenvector, never the full unknown space
+    calls = _spy_null_vectors(monkeypatch)
+    T = random_contraction(13, 2, 4)
+    B2 = char_fn(random_contraction(14, 2, 4)) if negative else popescu_char(T)
+    fit = ball_points(2, 6, seed=100)
+    hold = ball_points(2, 4, seed=900)
+    _, _, res, ok = weak_coincidence_fit(char_fn(T), B2, fit, hold)
+    assert ok != negative
+    assert len(calls) == 1
+    columns, _, w = calls[0]
+    candidates = max(1, int(np.count_nonzero(w <= DEFAULT_TOL.rank_rel * w[-1])))
+    assert columns <= candidates + 1 < w.size
 
 
 def test_support_frames_full_for_strict_contraction():

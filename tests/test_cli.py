@@ -209,3 +209,27 @@ def test_poly_eval_bad_expr_exits_two(tmp_path, capsys):
     assert main(["poly-eval", "--input", str(path), "--expr", "z1 +"]) == 2
     assert main(["poly-eval", "--input", str(path), "--expr", "z9"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-8"])
+def test_bad_tolerance_exits_two(contraction_file, capsys, monkeypatch, value):
+    # exit 1 would read as a failed verdict
+    monkeypatch.setenv("NCDBR_TOL", value)
+    assert main(["compare-popescu", "--input", contraction_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err
+    if value != "abc":
+        # argparse itself rejects a non-number flag value with exit 2
+        monkeypatch.delenv("NCDBR_TOL")
+        assert main(["frostman", "--input", contraction_file, "--tol=" + value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "input error" in captured.err
+
+
+@pytest.mark.parametrize("command", ["charfn", "kernel-psd", "frostman"])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_no_points_exits_two(contraction_file, capsys, command, points):
+    # with no points every verdict would pass having checked nothing
+    assert main([command, "--input", contraction_file, "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err
