@@ -369,7 +369,8 @@ def test_constraint_gram_matches_dense_rows(p, q):
 
 def _spy_null_vectors(monkeypatch):
     """Record (columns passed, null vectors returned) of every _null_vectors
-    call, with the Gram eigenvalues that preceded it."""
+    call, with the Gram eigenvalues that preceded it, and require at most
+    one column more than the Gram eigenvalue preselection's candidates."""
     calls = []
     eigenvalues = []
     eigh = np.linalg.eigh
@@ -381,8 +382,11 @@ def _spy_null_vectors(monkeypatch):
         return w, E
 
     def spy_null(A, tol):
+        w = eigenvalues[-1]
+        candidates = max(1, int(np.count_nonzero(w <= tol.rank_rel * w[-1])))
+        assert A.shape[1] <= candidates + 1
         N = null_vectors(A, tol)
-        calls.append((A.shape[1], N.shape[1], eigenvalues[-1]))
+        calls.append((A.shape[1], N.shape[1], w))
         return N
 
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
@@ -433,12 +437,11 @@ def test_weak_coincidence_decides_rank_on_gram_candidates(monkeypatch, negative)
     B2 = char_fn(random_contraction(14, 2, 4)) if negative else popescu_char(T)
     fit = ball_points(2, 6, seed=100)
     hold = ball_points(2, 4, seed=900)
-    _, _, res, ok = weak_coincidence_fit(char_fn(T), B2, fit, hold)
+    _, _, _, ok = weak_coincidence_fit(char_fn(T), B2, fit, hold)
     assert ok != negative
     assert len(calls) == 1
     columns, _, w = calls[0]
-    candidates = max(1, int(np.count_nonzero(w <= DEFAULT_TOL.rank_rel * w[-1])))
-    assert columns <= candidates + 1 < w.size
+    assert columns < w.size
 
 
 def test_support_frames_full_for_strict_contraction():
