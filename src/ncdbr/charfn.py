@@ -29,7 +29,8 @@ from .ncspace import (
     sample_ball_point,
     zero_tuple,
 )
-from .numerics import DEFAULT_TOL, _svd_rank, orthonormal_range, pinv, psd_sqrt
+from .numerics import DEFAULT_TOL, _ill_condition, _svd_rank, orthonormal_range, pinv
+from .numerics import psd_sqrt
 from .realization import Colligation, transfer_eval
 from .rowcontraction import (
     _frames_defect_point,
@@ -88,9 +89,9 @@ def model_gamma(V, Z, tol=DEFAULT_TOL):
     """Canonical model map value [I - V Z^*]^{-1} (gamma0 (x) I_n)."""
     frames = canonical_frames(V, tol)
     pencil = pencil_tz_star(V.ops, Z)
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    if sv[-1] <= tol.rank_rel * sv[0]:
-        raise SingularPencil("pencil condition %.3e" % (sv[0] / max(sv[-1], 1e-300)))
+    cond = _ill_condition(pencil, tol)
+    if cond is not None:
+        raise SingularPencil("pencil condition %.3e" % cond)
     return np.linalg.solve(pencil, coeff_lift(frames.gamma0, Z.n))
 
 
@@ -272,42 +273,35 @@ def frostman_shift(B, alpha, tol=DEFAULT_TOL):
     )
 
 
-def _value_blocks(B, value, n):
-    """All coefficient blocks of a level-n value, as a 4-d view."""
-    return value.reshape(n, B.output_dim, n, B.input_dim)
-
-
 def support_frames(B, sample_points, tol=DEFAULT_TOL):
     """Numerical support frames (supp_in, supp_out) of a sampler.
 
-    Spans the coefficient blocks of sampled values; sampling more points
-    can only grow the span, so the result is a certified lower bound,
-    taken as the support once the rank is stable across two successive
-    enlargements.
+    The spans of all coefficient blocks of B's values at the sample points
+    and of their adjoints, one SVD per frame.  Sampling more points can
+    only grow the spans, so the result is a certified lower bound on the
+    supports.  weak_coincidence_fit takes them with Z = 0 included.
     """
-    return _value_supports(B, ((Z, B(Z)) for Z in sample_points), tol)
-
-
-def _value_supports(B, values, tol):
-    """support_frames of the (point, value) pairs, taken in order until the
-    ranks are stable; values may be a lazy iterator."""
-    out_cols = [np.zeros((B.output_dim, 0))]
-    in_cols = [np.zeros((B.input_dim, 0))]
-    ranks = []
-    for Z, value in values:
-        blocks = _value_blocks(B, value, Z.n)
-        for pidx in range(Z.n):
-            for qidx in range(Z.n):
-                blk = blocks[pidx, :, qidx, :]
-                out_cols.append(blk)
-                in_cols.append(blk.conj().T)
-        supp_out = orthonormal_range(np.hstack(out_cols), tol)
-        supp_in = orthonormal_range(np.hstack(in_cols), tol)
-        ranks.append((supp_in.shape[1], supp_out.shape[1]))
-        if len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]:
-            break
-    if not ranks:
+    points = list(sample_points)
+    if not points:
         raise ValueError("need at least one sample point")
+    return _stack_supports(_block_stack(B, points), tol)
+
+
+def _block_stack(B, points):
+    """Every coefficient block of B's values at the points, one evaluation
+    per point, as one (sum of n^2, output_dim, input_dim) stack."""
+    o, i = B.output_dim, B.input_dim
+    return np.concatenate(
+        [B(Z).reshape(Z.n, o, Z.n, i).transpose(0, 2, 1, 3).reshape(Z.n**2, o, i) for Z in points]
+    )
+
+
+def _stack_supports(S, tol):
+    """(supp_in, supp_out) of a (k, o, i) block stack: the ranges of the
+    blocks side by side (o x k i) and of their adjoints (i x k o)."""
+    k, o, i = S.shape
+    supp_out = orthonormal_range(S.transpose(1, 0, 2).reshape(o, k * i), tol)
+    supp_in = orthonormal_range(S.conj().transpose(2, 0, 1).reshape(i, k * o), tol)
     return supp_in, supp_out
 
 
@@ -315,39 +309,9 @@ def _compress(value, supp_in, supp_out, n):
     return coeff_lift(supp_out, n).conj().T @ value @ coeff_lift(supp_in, n)
 
 
-def _restrict(B, supp_in, supp_out):
-    return SchurSampler(
-        d=B.d,
-        input_dim=supp_in.shape[1],
-        output_dim=supp_out.shape[1],
-        evaluator=lambda Z: _compress(B(Z), supp_in, supp_out, Z.n),
-        tag=B.tag,
-    )
-
-
-def _coincidence_residual(R1, R2, points, U_out, U_in):
-    worst = 0.0
-    for Z in points:
-        lhs = coeff_lift(U_out, Z.n) @ R1(Z)
-        rhs = R2(Z) @ coeff_lift(U_in, Z.n)
-        if lhs.size:
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return worst
-
-
 def _polar_unitary(M):
     W, _, Vh = np.linalg.svd(M)
     return W @ Vh
-
-
-def _coefficient_blocks(B, points, values, supp_in, supp_out):
-    """Every coefficient block of the values at the points, compressed to
-    the supports, as one (sum of n^2, p, q) stack."""
-    blocks = [
-        _value_blocks(B, V, Z.n).transpose(0, 2, 1, 3).reshape(Z.n**2, B.output_dim, B.input_dim)
-        for Z, V in zip(points, values)
-    ]
-    return supp_out.conj().T @ np.concatenate(blocks) @ supp_in
 
 
 def _constraint_gram(A, C):
@@ -398,6 +362,10 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     """Fit constant unitaries with (U_out (x) I) B1(Z) = B2(Z) (U_in (x) I)
     after restricting both samplers to their supports.
 
+    Each sampler's supports are the spans of all its sampled coefficient
+    blocks, Z = 0 included, and of their adjoints: a lower bound that more
+    fit points can only grow.
+
     One linear solve: at Z = 0 and at each fit point the relation and its
     adjoint (U_in (x) I) B1(Z)* = B2(Z)* (U_out (x) I) are linear in the
     pair (X, Y) = (U_out, U_in), so X (+) Y intertwines the self-adjoint
@@ -419,21 +387,19 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     # each sampler is evaluated once per point: at Z = 0 and the fit points
     # here, for the supports and the constraint blocks alike
     points = [zero_tuple(B1.d, 1)] + list(fit_points)
-    values1 = [B1(Z) for Z in points]
-    values2 = [B2(Z) for Z in points]
-    s1_in, s1_out = _value_supports(B1, zip(points[1:], values1[1:]), num_tol)
-    s2_in, s2_out = _value_supports(B2, zip(points[1:], values2[1:]), num_tol)
+    S1 = _block_stack(B1, points)
+    S2 = _block_stack(B2, points)
+    s1_in, s1_out = _stack_supports(S1, num_tol)
+    s2_in, s2_out = _stack_supports(S2, num_tol)
     if s1_in.shape[1] != s2_in.shape[1] or s1_out.shape[1] != s2_out.shape[1]:
         return None, None, float("inf"), False
-    R1 = _restrict(B1, s1_in, s1_out)
-    R2 = _restrict(B2, s2_in, s2_out)
     p = s1_out.shape[1]
     q = s1_in.shape[1]
     if p == 0 and q == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, True
 
-    A = _coefficient_blocks(B1, points, values1, s1_in, s1_out)
-    C = _coefficient_blocks(B2, points, values2, s2_in, s2_out)
+    A = s1_out.conj().T @ S1 @ s1_in
+    C = s2_out.conj().T @ S2 @ s2_in
     # G's eigenvalues are accurate to about eps * lambda_max, far below the
     # preselection level; the basis holds the candidates and the top
     # eigenvector, each once
@@ -444,7 +410,12 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     vec = null @ (np.random.default_rng(0).standard_normal((null.shape[1], 2)) @ [1.0, 1j])
     U_out = _polar_unitary(vec[: p * p].reshape(p, p))
     U_in = _polar_unitary(vec[p * p :].reshape(q, q))
-    residual = _coincidence_residual(R1, R2, holdout_points, U_out, U_in)
+    residual = 0.0
+    for Z in holdout_points:
+        lhs = coeff_lift(U_out, Z.n) @ _compress(B1(Z), s1_in, s1_out, Z.n)
+        rhs = _compress(B2(Z), s2_in, s2_out, Z.n) @ coeff_lift(U_in, Z.n)
+        if lhs.size:
+            residual = max(residual, float(np.linalg.norm(lhs - rhs, 2)))
     return U_out, U_in, residual, bool(residual <= tol)
 
 

@@ -25,6 +25,7 @@ from .ncspace import MatrixTuple, sample_ball_point
 from .rowcontraction import (
     RowContraction,
     canonical_frames,
+    cnc_rank,
     defect_point,
     iso_pure_decompose,
     reconstruct,
@@ -82,15 +83,9 @@ def _points(d, count, radius, seed):
 
 def cmd_cnc_check(args):
     T, digest = load_contraction(args.input)
-    report = rowcontraction_cnc(T)
-    return digest, report, {"informational": True}
-
-
-def rowcontraction_cnc(T):
-    from .rowcontraction import cnc_rank
-
     rep = cnc_rank(T)
-    return {"dim": rep.dim, "is_cnc": rep.is_cnc, "stabilized_at": rep.stabilized_at}
+    report = {"dim": rep.dim, "is_cnc": rep.is_cnc, "stabilized_at": rep.stabilized_at}
+    return digest, report, {"informational": True}
 
 
 def cmd_charfn(args):

@@ -172,11 +172,6 @@ def eval_vector(vec, f, Z):
     return np.einsum("wab,wk->akb", powers, coeffs).reshape(f.coeff_dim * Z.n, Z.n)
 
 
-def _contract_level(vec, n, dim, u):
-    """Apply [I_dim (x) u*] to a vector of C^dim (x) C^n."""
-    return u.conj() @ vec.reshape(n, dim)
-
-
 def _model_space(T, N, tol):
     """The truncated model space of T and the embedded output frame
     D_T* F_out, from one thin SVD of the observability map O_N; raises
@@ -238,9 +233,9 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             rhs_T = np.outer(x, seed_vec[:, gi]).ravel()
-            v = _contract_level(np.linalg.solve(pencil_T, rhs_T), n, m, u)
+            v = u.conj() @ np.linalg.solve(pencil_T, rhs_T).reshape(n, m)
             rhs_X = np.outer(x, K0_coord[:, gi]).ravel()
-            w = _contract_level(np.linalg.solve(pencil_X, rhs_X), n, space.dim, u)
+            w = u.conj() @ np.linalg.solve(pencil_X, rhs_X).reshape(n, space.dim)
             sources.append(v)
             targets.append(w)
             direct = _kernel_coords(space, Z, np.eye(p)[gi], x, u)

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionMismatch, NotFinite, SingularSimilarity
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, _ill_condition
 
 __all__ = [
     "MatrixTuple",
@@ -128,9 +128,9 @@ def conjugate(Z, S, tol=DEFAULT_TOL):
     S = np.asarray(S, dtype=complex)
     if S.shape != (Z.n, Z.n):
         raise DimensionMismatch("similarity size must match the point level")
-    s = np.linalg.svd(S, compute_uv=False)
-    if s[-1] <= tol.rank_rel * s[0]:
-        raise SingularSimilarity("condition number %.3e" % (s[0] / max(s[-1], 1e-300)))
+    cond = _ill_condition(S, tol)
+    if cond is not None:
+        raise SingularSimilarity("condition number %.3e" % cond)
     return MatrixTuple(tuple(np.linalg.solve(S, Zj @ S) for Zj in Z.coords))
 
 

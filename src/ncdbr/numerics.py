@@ -113,12 +113,22 @@ def _svd_rank(s, tol):
     return int(np.sum(s > tol.rank_rel * s[0]))
 
 
+def _ill_condition(M, tol):
+    """The condition number of a square M that is too ill conditioned to
+    invert (sigma_min <= rank_rel * sigma_max), else None; the caller
+    raises its own error type on it."""
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[-1] <= tol.rank_rel * s[0]:
+        return s[0] / max(s[-1], 1e-300)
+    return None
+
+
 def orthonormal_range(A, tol=DEFAULT_TOL):
     """Orthonormal columns spanning the numerical range of A."""
     A = _as_complex(A)
     if A.size == 0:
         return np.zeros((A.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(A)
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
     r = _svd_rank(s, tol)
     return _fix_column_phases(U[:, :r], tol)
 

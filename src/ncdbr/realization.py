@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularPencil
 from .ncspace import FreeWord, coeff_lift, point_block
-from .numerics import DEFAULT_TOL, stabilized_span
+from .numerics import DEFAULT_TOL, _ill_condition, stabilized_span
 
 __all__ = [
     "Colligation",
@@ -82,9 +82,9 @@ def transfer_eval(c, X, tol=DEFAULT_TOL):
         raise DimensionMismatch("tuple and colligation disagree on d")
     n = X.n
     pencil = np.eye(c.state_dim * n) - point_block(X, c.A)
-    sv = np.linalg.svd(pencil, compute_uv=False)
-    if sv[-1] <= tol.rank_rel * sv[0]:
-        raise SingularPencil("pencil condition %.3e" % (sv[0] / max(sv[-1], 1e-300)))
+    cond = _ill_condition(pencil, tol)
+    if cond is not None:
+        raise SingularPencil("pencil condition %.3e" % cond)
     rhs = point_block(X, c.B)
     return coeff_lift(c.D, n) + coeff_lift(c.C, n) @ np.linalg.solve(pencil, rhs)
 

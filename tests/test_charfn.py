@@ -444,6 +444,43 @@ def test_weak_coincidence_decides_rank_on_gram_candidates(monkeypatch, negative)
     assert columns < w.size
 
 
+def _commutator_sampler(c):
+    """0.3 (z1 (x) e1 + c [z1, z2] (x) e2): d = 2, input 1, output 2; the
+    commutator vanishes at level 1, so e2 shows only at higher levels."""
+
+    def ev(Z):
+        Z1, Z2 = Z.coords
+        out = np.zeros((Z.n, 2, Z.n, 1), dtype=complex)
+        out[:, 0, :, 0] = Z1
+        out[:, 1, :, 0] = c * (Z1 @ Z2 - Z2 @ Z1)
+        return 0.3 * out.reshape(2 * Z.n, Z.n)
+
+    return SchurSampler(d=2, input_dim=1, output_dim=2, evaluator=ev, tag="commutator")
+
+
+def test_support_frames_span_blocks_past_repeated_ranks():
+    # three level-1 points agree on rank 1; the level-2 point after them
+    # adds the commutator's direction
+    B = _commutator_sampler(1.0)
+    supp_in, supp_out = support_frames(B, ball_points(2, 4, 0.5, 100, levels=(1, 1, 1, 2)))
+    assert supp_in.shape == (1, 1)
+    assert supp_out.shape == (2, 2)
+
+
+def test_weak_coincidence_rejects_commutator_seen_after_level_one():
+    # B2 has -2 in place of the commutator's coefficient: no constant
+    # unitaries intertwine the pair, though the first three fit points,
+    # all at level 1, cannot tell them apart
+    fit = ball_points(2, 6, 0.5, 100, levels=(1, 1, 1, 2, 2, 2))
+    hold = ball_points(2, 3, 0.5, 900, levels=(2,))
+    B1 = _commutator_sampler(1.0)
+    _, _, res, ok = weak_coincidence_fit(B1, _commutator_sampler(-2.0), fit, hold)
+    assert not ok and res > 1e-3
+    U_out, U_in, res, ok = weak_coincidence_fit(B1, B1, fit, hold)
+    _assert_tight_fit(U_out, U_in, res, ok)
+    assert U_out.shape == (2, 2) and U_in.shape == (1, 1)
+
+
 def test_support_frames_full_for_strict_contraction():
     T = random_contraction(12, 2, 3)
     B = char_fn(T)

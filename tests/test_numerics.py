@@ -7,6 +7,7 @@ from ncdbr.errors import NotHermitian, NotPSD
 from ncdbr.numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _svd_rank,
     orthonormal_kernel,
     orthonormal_range,
     pinv,
@@ -86,6 +87,19 @@ def test_orthonormal_range_and_kernel(rng):
     for col in R.T:
         pivot = col[np.argmax(np.abs(col) > 1e-10)]
         assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+
+@pytest.mark.parametrize("shape", [(5, 300), (300, 5)])
+def test_orthonormal_range_of_wide_and_tall_rank_three(rng, shape):
+    # the thin SVD spans what the full one does, on either side of square
+    left = rng.standard_normal((shape[0], 3)) + 1j * rng.standard_normal((shape[0], 3))
+    right = rng.standard_normal((3, shape[1])) + 1j * rng.standard_normal((3, shape[1]))
+    A = left @ right
+    U, s, _ = np.linalg.svd(A)
+    ref = U[:, : _svd_rank(s, DEFAULT_TOL)]
+    R = orthonormal_range(A)
+    assert R.shape == ref.shape == (shape[0], 3)
+    assert np.linalg.norm(R @ R.conj().T - ref @ ref.conj().T, 2) <= 1e-12
 
 
 def test_orthonormal_range_deterministic(rng):
