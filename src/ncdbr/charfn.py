@@ -21,7 +21,6 @@ from .errors import (
     SingularPencil,
 )
 from .ncspace import (
-    MatrixTuple,
     _kron_sum,
     coeff_lift,
     pencil_tz_star,

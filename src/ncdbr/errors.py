@@ -41,6 +41,10 @@ class NotStrict(NcdbrError):
     pass
 
 
+class TruncationTooShort(NcdbrError):
+    """The truncated observability map O_N has rank below m."""
+
+
 class OutsideBall(NcdbrError):
     """A point lies outside the open row ball."""
 

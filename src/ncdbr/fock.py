@@ -12,9 +12,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCNC
+from .errors import DimensionMismatch, NotCNC, TruncationTooShort
 from .ncspace import pencil_tz_star, sample_ball_point, words_up_to
-from .numerics import DEFAULT_TOL, orthonormal_range, pinv
+from .numerics import DEFAULT_TOL, orthonormal_range
 from .numerics import _as_complex, _fix_column_phases, _psd_eigenvalues
 from .rowcontraction import _cnc_report, _defect_star
 
@@ -140,12 +140,6 @@ def gleason_extremal(space):
     return X
 
 
-def _szego_vector(f, Z, g, x, u):
-    rows = _word_blocks(np.conj(x)[None], Z.coords, f.N)
-    coeffs = np.conj(rows[:, 0] @ np.asarray(u, dtype=complex))
-    return np.outer(coeffs, np.asarray(g, dtype=complex)).ravel()
-
-
 def kernel_vector(space, Z, g, x, u):
     """Truncated kernel vector K^B{Z, g (x) x, u} = (I - B(L) B(L)*) s of
     the space, with s the Szego vector, computed as F diag(w) F* s.
@@ -153,13 +147,21 @@ def kernel_vector(space, Z, g, x, u):
     Its operator-range inner product against f in the space reproduces
     <g (x) x, f(Z) u> up to the truncation tail.
     """
-    return space.range_frame @ _kernel_coords(space, Z, g, x, u)
+    p = space.ambient.coeff_dim
+    x, u = (np.broadcast_to(np.asarray(v, dtype=complex), (p, Z.n)) for v in (x, u))
+    return space.range_frame @ (_kernel_coords(space, Z, x, u) @ np.asarray(g, dtype=complex))
 
 
-def _kernel_coords(space, Z, g, x, u):
-    """Range-frame coordinates diag(w) F* s of kernel_vector."""
-    sz = _szego_vector(space.ambient, Z, g, x, u)
-    return (space.range_frame.conj().T @ sz) / space.gram.diagonal()
+def _kernel_coords(space, Z, x, u):
+    """Range-frame coordinates diag(w) F* s_g of the kernel vectors
+    K^B{Z, e_g (x) x_g, u_g} for the output basis vectors e_g, one column
+    each, from one Szego recursion over the rows conj(x_g): the Szego
+    vector s_g has coefficient conj(x_g* Z^w u_g) at (w, g)."""
+    f = space.ambient
+    rows = _word_blocks(np.conj(x), Z.coords, f.N)
+    coeffs = np.einsum("wgn,gn->wg", rows, u).conj()
+    F = space.range_frame.reshape(f.num_words, f.coeff_dim, space.dim)
+    return np.einsum("wgk,wg->kg", F.conj(), coeffs) / space.gram.diagonal()[:, None]
 
 
 def eval_vector(vec, f, Z):
@@ -173,9 +175,9 @@ def eval_vector(vec, f, Z):
 
 
 def _model_space(T, N, tol):
-    """The truncated model space of T and the embedded output frame
-    D_T* F_out, from one thin SVD of the observability map O_N; raises
-    NotCNC first when T is not CNC.
+    """The truncated model space of T and its observability map O_N, laid
+    out (W p) x m, from one thin SVD of O_N; raises NotCNC first when T is
+    not CNC.
 
     I - B_L B_L* = O_N O_N* for the truncated multiplier B_L of the Julia
     colligation; the block of O_N at word w is F_out* D_T* (T*)^w, the
@@ -188,71 +190,64 @@ def _model_space(T, N, tol):
         raise NotCNC("model verification needs a CNC row contraction")
     ambient = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
     first = F_out.conj().T @ D_Tstar
-    O_N = _word_blocks(first, [Tj.conj().T for Tj in T.ops], N)
-    Q, sigma, _ = np.linalg.svd(O_N.reshape(ambient.total_dim, T.m), full_matrices=False)
-    return _space(ambient, sigma[::-1] ** 2, Q[:, ::-1], tol), D_Tstar @ F_out
+    O_N = _word_blocks(first, [Tj.conj().T for Tj in T.ops], N).reshape(ambient.total_dim, T.m)
+    Q, sigma, _ = np.linalg.svd(O_N, full_matrices=False)
+    return _space(ambient, sigma[::-1] ** 2, Q[:, ::-1], tol), O_N
 
 
 def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     """Check that T is unitarily equivalent to the extremal Gleason tuple
-    of the truncated model space built from its characteristic function.
+    X of the truncated model space built from its characteristic function.
 
-    Returns a report with the frame (unitarity), intertwining, and
-    kernel-identity residuals of the candidate equivalence; all three are
-    expected to decay geometrically in the truncation length N.
+    The unitary is the truncated NC resolvent D_T* [I - Z T*]^(-1), in
+    range-frame coordinates U = F* O_N, so U* G U = I by construction.
+    The report holds rank_O_N (m; below m the truncation has not reached
+    all of H and TruncationTooShort is raised), and three residuals that
+    decay geometrically in N: frame_residual ||I - O_N* O_N||, which is
+    ||sum_{|w|=N+1} T^w T^w*||; intertwine_residual
+    max_j ||G^(1/2) (U T_j - X_j U)||; and kernel_identity_residual, the
+    gap in (I - Z X*)^(-1) K_0 g = K^B{Z, g (x) x, u} at five seeded
+    points, which does not involve U.
 
     For a scalar strict contraction T = r the model space is spanned by
     k_N = (1, r, ..., r^N), X = r - r^(2N+1) (1 - r^2)/(1 - r^(2N+2)), and
-    the intertwining residual is r^(2N+1) (1 - r^2)/(1 - r^(2N+2)) up to a
-    relative error of at most the frame residual, so it decays like r^(2N).
+    the intertwining residual is exactly r^(2N+1) (1 - r^2)/(1 - r^(2N+2)).
     """
-    space, seed_vec = _model_space(T, N, tol)
+    space, O_N = _model_space(T, N, tol)
+    if space.dim < T.m:
+        raise TruncationTooShort(
+            "rank O_N = %d is below m = %d at N = %d; raise N" % (space.dim, T.m, N)
+        )
+    F = space.range_frame
     p = space.ambient.coeff_dim
-    m = T.m
-    d = T.d
+    sigma2 = 1.0 / space.gram.diagonal()
+    G_half = np.sqrt(space.gram.diagonal())[:, None]
     X = gleason_extremal(space)
-    G = space.gram
-    G_half = np.diag(np.sqrt(G.diagonal()))
+    U = F.conj().T @ O_N
 
-    # coordinates of K_0 g for the basis vectors g of the output space
-    Z0 = sample_ball_point(d, 1, 0.0, 0)
-    K0_coord = np.column_stack(
-        [_kernel_coords(space, Z0, g, np.ones(1), np.ones(1)) for g in np.eye(p)]
-    )
-
-    levels = [1, 2, 2, 1, 2]
-    sources = []
-    targets = []
+    # K_0 g = (I - B(L) B(L)*) g at the empty word, for the basis vectors g
+    K0 = sigma2[:, None] * F[:p].conj().T
     kernel_resid = 0.0
-    for s, n in enumerate(levels):
-        Z = sample_ball_point(d, n, 0.45, seed + s)
-        pencil_T = pencil_tz_star(T.ops, Z)
-        pencil_X = pencil_tz_star(X, Z)
-        rng = np.random.default_rng(seed + 100 + s)
-        for gi in range(p):
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            rhs_T = np.outer(x, seed_vec[:, gi]).ravel()
-            v = u.conj() @ np.linalg.solve(pencil_T, rhs_T).reshape(n, m)
-            rhs_X = np.outer(x, K0_coord[:, gi]).ravel()
-            w = u.conj() @ np.linalg.solve(pencil_X, rhs_X).reshape(n, space.dim)
-            sources.append(v)
-            targets.append(w)
-            direct = _kernel_coords(space, Z, np.eye(p)[gi], x, u)
-            kernel_resid = max(kernel_resid, float(np.linalg.norm(G_half @ (w - direct))))
-    V_mat = np.array(sources).T
-    W_mat = np.array(targets).T
-    U = W_mat @ pinv(V_mat, tol)
+    for s, n in enumerate([1, 2, 2, 1, 2]):
+        Z = sample_ball_point(T.d, n, 0.45, seed + s)
+        draws = np.random.default_rng(seed + 100 + s).standard_normal((p, 4, n))
+        x = draws[:, 0] + 1j * draws[:, 1]
+        u = draws[:, 2] + 1j * draws[:, 3]
+        # one solve of the X pencil, right-hand side x_g (x) K_0 g per column
+        rhs = np.einsum("ga,kg->akg", x, K0).reshape(n * space.dim, p)
+        solved = np.linalg.solve(pencil_tz_star(X, Z), rhs).reshape(n, space.dim, p)
+        via_X = np.einsum("ga,akg->kg", u.conj(), solved)
+        gap = G_half * (via_X - _kernel_coords(space, Z, x, u))
+        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=0).max()))
 
-    frame_resid = float(np.linalg.norm(U.conj().T @ G @ U - np.eye(m), 2))
     intertwine_resid = max(
-        float(np.linalg.norm(G_half @ (U @ Tj - Xj @ U), 2))
-        for Tj, Xj in zip(T.ops, X)
+        float(np.linalg.norm(G_half * (U @ Tj - Xj @ U), 2)) for Tj, Xj in zip(T.ops, X)
     )
     return {
         "N": N,
         "model_dim": space.dim,
-        "frame_residual": frame_resid,
+        "rank_O_N": space.dim,
+        "frame_residual": float(np.abs(1.0 - sigma2).max()),
         "intertwine_residual": intertwine_resid,
         "kernel_identity_residual": kernel_resid,
     }

@@ -142,6 +142,17 @@ def test_model_verify_command(scalar_file, capsys):
     assert report["results"]["frame_residual"] <= 1e-3
 
 
+def test_model_verify_nilpotent_jordan(tmp_path, capsys):
+    # J_6 has p = 1 and J^6 = 0: the default N = 8 is exact, N = 3 too short
+    path = tmp_path / "J6.json"
+    path.write_text(json.dumps({"ops": [matrix_json(np.eye(6, k=-1))]}))
+    code, report = run(["model-verify", "--input", str(path)], capsys)
+    assert code == 0
+    assert report["results"]["rank_O_N"] == 6
+    code, _ = run(["model-verify", "--input", str(path), "--max-len", "3"], capsys)
+    assert code == 2
+
+
 def test_poly_eval_command(tmp_path, capsys):
     Z = {"d": 2, "n": 1, "matrices": [matrix_json([[0.2]]), matrix_json([[0.3]])]}
     path = tmp_path / "Z.json"

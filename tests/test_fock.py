@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_contraction
 from dense_fock import mult_operator, shifts, transpose_unitary
-from ncdbr.errors import DimensionMismatch, NotCNC
+from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
 from ncdbr.fock import (
     TruncatedFock,
     _model_space,
@@ -16,7 +16,13 @@ from ncdbr.fock import (
     kernel_vector,
     model_verify,
 )
-from ncdbr.ncspace import FreeWord, sample_ball_point, word_apply, words_up_to
+from ncdbr.ncspace import (
+    FreeWord,
+    pencil_tz_star,
+    sample_ball_point,
+    word_apply,
+    words_up_to,
+)
 from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, pinv, psd_sqrt
 from ncdbr.realization import taylor_coeff
 from ncdbr.rowcontraction import RowContraction, defects, julia_matrix
@@ -329,7 +335,7 @@ def test_model_verify_residuals_decay():
 def test_model_verify_scalar_closed_form():
     # T = r: the model space is spanned by k_N = (1, r, ..., r^N) and the
     # intertwining error |r - X| times ||G^(1/2) U|| has the closed form
-    # below; ||G^(1/2) U||^2 is within frame_residual of 1.
+    # below; ||G^(1/2) U|| = 1, since U = F* O_N has U* G U = I.
     for r in (0.3, 0.5, 0.7):
         T = RowContraction((np.array([[r]]),))
         for N in (3, 4, 6, 8):
@@ -362,5 +368,103 @@ def test_model_verify_roots_one_defect(monkeypatch, d, m):
     T = random_contraction(40 + d, d, m, norm=0.8)
     rep = model_verify(T, 3)
     assert calls == [(m, m)]
+    monkeypatch.undo()
+    assert rep == model_verify(T, 3)
+
+
+def jordan(m):
+    """The m x m nilpotent Jordan block, e_k -> e_(k+1): CNC with p = 1."""
+    return np.eye(m, k=-1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", range(4, 13))
+def test_model_verify_nilpotent_jordan(d, m):
+    # J^m = 0, so O_N reaches all of H at N = m - 1 and the truncation is
+    # exact; the number of output vectors, p = 1, does not limit the check
+    T = RowContraction(tuple(jordan(m) / np.sqrt(d) for _ in range(d)))
+    rep = model_verify(T, max(8, m - 1))
+    assert rep["rank_O_N"] == rep["model_dim"] == m
+    for key in ("frame_residual", "intertwine_residual", "kernel_identity_residual"):
+        assert rep[key] <= 1e-12, key
+
+
+def test_model_verify_rejects_short_truncation():
+    # O_3 of J_6 spans e_1..e_4 only
+    with pytest.raises(TruncationTooShort, match="rank O_N = 4 .* N = 3"):
+        model_verify(RowContraction((jordan(6),)), 3)
+
+
+def looped_kernel_residual(space, X, seed):
+    """Reference kernel_identity_residual: one Szego vector, built word by
+    word, and one X-pencil solve per output basis vector g, with K_0 from
+    the level-1 zero point."""
+    f = space.ambient
+    p = f.coeff_dim
+    w = 1.0 / space.gram.diagonal()
+    G_half = np.diag(np.sqrt(space.gram.diagonal()))
+
+    def coords(Z, g, x, u):
+        rows = np.stack([np.conj(x) @ word_apply(Z.coords, word) for word in f.words])
+        s = np.outer(np.conj(rows @ u), g).ravel()
+        return w * (space.range_frame.conj().T @ s)
+
+    Z0 = sample_ball_point(f.d, 1, 0.0, 0)
+    K0 = np.column_stack([coords(Z0, g, np.ones(1), np.ones(1)) for g in np.eye(p)])
+    resid = 0.0
+    for s, n in enumerate([1, 2, 2, 1, 2]):
+        Z = sample_ball_point(f.d, n, 0.45, seed + s)
+        pencil = pencil_tz_star(X, Z)
+        rng = np.random.default_rng(seed + 100 + s)
+        for gi in range(p):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            solved = np.linalg.solve(pencil, np.outer(x, K0[:, gi]).ravel())
+            via_X = u.conj() @ solved.reshape(n, space.dim)
+            direct = coords(Z, np.eye(p)[gi], x, u)
+            resid = max(resid, float(np.linalg.norm(G_half @ (via_X - direct))))
+    return resid
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_model_verify_matches_looped_oracle(d, m):
+    T = random_contraction(60 + 3 * d + m, d, m, norm=0.7)
+    N = 4
+    rep = model_verify(T, N)
+    space, O_N = _model_space(T, N, DEFAULT_TOL)
+    X = gleason_extremal(space)
+    want = looped_kernel_residual(space, X, 2024)
+    assert abs(rep["kernel_identity_residual"] - want) <= 1e-14
+    # the model unitary is isometric in the operator-range inner product
+    G = space.gram
+    U = space.range_frame.conj().T @ O_N
+    assert np.linalg.norm(U.conj().T @ G @ U - np.eye(m), 2) <= 1e-12
+    G_half = np.sqrt(G)
+    intertwine = max(
+        np.linalg.norm(G_half @ (U @ Tj - Xj @ U), 2) for Tj, Xj in zip(T.ops, X)
+    )
+    assert intertwine == pytest.approx(rep["intertwine_residual"], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2)])
+def test_model_verify_solves_once_per_point(monkeypatch, d, m):
+    # one X-pencil solve per sample point, with the p kernel right-hand
+    # sides as its columns; no solve in T's pencil and no fitted unitary
+    T = random_contraction(50 + d, d, m, norm=0.8)
+    solves = []
+    pencils = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: solves.append(b.shape) or solve(A, b))
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pytest.fail("pinv called"))
+    monkeypatch.setattr(
+        sys.modules["ncdbr.fock"],
+        "pencil_tz_star",
+        lambda ops, Z: pencils.append(ops) or pencil_tz_star(ops, Z),
+    )
+    rep = model_verify(T, 3)
+    # D_T* has full rank, so p = m
+    assert solves == [(n * m, m) for n in (1, 2, 2, 1, 2)]
+    assert not any(ops is T.ops for ops in pencils)
     monkeypatch.undo()
     assert rep == model_verify(T, 3)
