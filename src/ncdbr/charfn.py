@@ -314,23 +314,69 @@ def _polar_unitary(M):
 
 
 def _constraint_gram(A, C):
-    """Gram L*L of the constraint map
+    """Blocks of the Gram L*L of the constraint map
     L(X, Y) = (X A_k - C_k Y, Y A_k* - C_k* X)_k on the row-major
     (vec X, vec Y), for stacks A, C of p x q blocks, in closed form:
     G_XX = I (x) (sum A_k A_k*)^T + (sum C_k C_k*) (x) I,
     G_YY = (sum C_k* C_k) (x) I + I (x) (sum A_k* A_k)^T and
     G_XY = -2 sum_k C_k (x) conj(A_k), where the direct and the adjoint
-    relation contribute one cross term each."""
+    relation contribute one cross term each.
+
+    These are the blocks of the partial Schur complement that
+    weak_coincidence_fit takes, and no (p^2 + q^2)- or q^2-square matrix is
+    formed.  With (gamma, Q_C) the eigenpairs of sum C_k* C_k and
+    (delta, Q_A) those of (sum A_k* A_k)^T,
+    G_YY = R diag(gamma_i + delta_j) R* for R = Q_C (x) Q_A, and the cross
+    block enters rotated, as H = G_XY R = -2 sum_k (C_k Q_C) (x) (conj(A_k) Q_A).
+    G_XX's top eigenpair comes from its two p x p factors.  Returns
+    (G_XX, (lambda_max(G_XX), its eigenvector as a p x p X, None if p = 0),
+    gamma, Q_C, delta, Q_A, H)."""
     k, p, q = A.shape
     A_rows = A.transpose(1, 0, 2).reshape(p, k * q)
     C_rows = C.transpose(1, 0, 2).reshape(p, k * q)
     A_cols = A.reshape(k * p, q)
     C_cols = C.reshape(k * p, q)
-    I_p, I_q = np.eye(p), np.eye(q)
-    G_XX = _kron_sum([I_p, C_rows @ C_rows.conj().T], [(A_rows @ A_rows.conj().T).T, I_p])
-    G_YY = _kron_sum([C_cols.conj().T @ C_cols, I_q], [I_q, (A_cols.conj().T @ A_cols).T])
-    G_XY = -2.0 * _kron_sum(C, A.conj())
-    return np.block([[G_XX, G_XY], [G_XY.conj().T, G_YY]])
+    AA = (A_rows @ A_rows.conj().T).T
+    CC = C_rows @ C_rows.conj().T
+    G_XX = _kron_sum([np.eye(p), CC], [AA, np.eye(p)])
+    w_C, V_C = np.linalg.eigh(CC)
+    w_A, V_A = np.linalg.eigh(AA)
+    top_X = (w_C[-1] + w_A[-1], np.outer(V_C[:, -1], V_A[:, -1])) if p else (0.0, None)
+    gamma, Q_C = np.linalg.eigh(C_cols.conj().T @ C_cols)
+    delta, Q_A = np.linalg.eigh((A_cols.conj().T @ A_cols).T)
+    H = -2.0 * _kron_sum(C @ Q_C, A.conj() @ Q_A)
+    return G_XX, top_X, gamma, Q_C, delta, Q_A, H
+
+
+def _coincidence_null(A, C, tol):
+    """Null vectors of the constraint map L of _constraint_gram, as columns
+    of the row-major (vec X, vec Y), from the partial Schur complement of
+    its Gram that weak_coincidence_fit describes.  Q_C (x) Q_A is applied
+    by einsum, never formed."""
+    _, p, q = A.shape
+    G_XX, (lam_X, X_top), gamma, Q_C, delta, Q_A, H = _constraint_gram(A, C)
+    eig_Y = np.add.outer(gamma, delta).ravel()
+    lam_Y = eig_Y.max(initial=0.0)
+    lam = max(lam_X, lam_Y)
+    strong = eig_Y > np.sqrt(tol.rank_rel) * lam
+    H_s, H_w, D_s = H[:, strong], H[:, ~strong], eig_Y[strong]
+    w, E = np.linalg.eigh(
+        np.block([[G_XX - (H_s / D_s) @ H_s.conj().T, H_w], [H_w.conj().T, np.diag(eig_Y[~strong])]])
+    )
+    keep = max(1, int(np.count_nonzero(w <= tol.rank_rel * lam)))
+    # lifted candidates, then the top direction, in G_YY's eigenbasis for Y
+    X = np.zeros((p * p, keep + 1), dtype=complex)
+    Y = np.zeros((q * q, keep + 1), dtype=complex)
+    X[:, :keep] = E[: p * p, :keep]
+    Y[~strong, :keep] = E[p * p :, :keep]
+    Y[strong, :keep] = -(H_s.conj().T @ X[:, :keep]) / D_s[:, None]
+    if p and lam_X >= lam_Y:
+        X[:, keep] = X_top.ravel()
+    else:
+        Y[np.argmax(eig_Y), keep] = 1.0
+    Y = np.einsum("ia,abc,jb->ijc", Q_C, Y.reshape(q, q, keep + 1), Q_A).reshape(q * q, keep + 1)
+    basis = np.linalg.qr(np.vstack([X, Y]))[0]
+    return basis @ _null_vectors(_apply_constraints(A, C, basis), tol)
 
 
 def _apply_constraints(A, C, V):
@@ -370,14 +416,25 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     pair (X, Y) = (U_out, U_in), so X (+) Y intertwines the self-adjoint
     dilations [[0, Bi], [Bi*, 0]].  Blockwise the constraints read
     X A_k = C_k Y and Y A_k* = C_k* X for the compressed coefficient
-    blocks A_k of B1 and C_k of B2.  Their Gram matrix is formed in closed
-    form, never the tall constraint matrix, and its eigenvectors with
-    eigenvalue at most rank_rel * lambda_max (at least one) are the
+    blocks A_k of B1 and C_k of B2, p x q each.  Neither the tall
+    constraint matrix L nor its (p^2 + q^2)-square Gram G is formed:
+    _constraint_gram gives G's blocks in closed form, with G_YY
+    diagonalized by two q x q eigh calls.  Let lam be the larger of the top
+    eigenvalues of G_XX and G_YY, so lam <= lambda_max(G) <= 2 lam.  The Y
+    directions whose G_YY eigenvalue exceeds sqrt(rank_rel) * lam are
+    strong and eliminated by a Schur complement; the weak rest stay
+    unknowns beside vec X.  A support reached only weakly puts G_YY
+    eigenvalues at round-off, even at or below 0, where eliminating would
+    divide by noise; above the floor the elimination errs by about
+    rank_rel^(-1/4) eps lam, far below the preselection level.  The
+    eigenvectors of the (p^2 + #weak)-square reduced matrix with
+    eigenvalue at most rank_rel * lam (at least one), lifted back, are the
     candidates: a superset of the directions with singular value at most
-    rank_rel * sigma_max.  The constraints applied to the candidates and
-    to the top eigenvector have the constraint matrix's singular values on
-    that span and its sigma_max, so the null vectors (singular values at
-    most rank_rel * sigma_max, at least one) are decided there; they span
+    rank_rel * sigma_max.  L applied to the orthonormalized candidates and
+    the top eigenvector of the larger block has L's singular values on
+    that span, and a sigma_max at least sqrt(lam), within a factor sqrt(2)
+    of L's; the null vectors (singular values at most rank_rel times that
+    sigma_max, at least one) are decided there, and they span
     the intertwiners.  A fixed-seed complex combination of them is
     invertible, and since the intertwiners are closed under adjoint its
     polar factors are unitary intertwiners.  The residual is the worst
@@ -399,13 +456,7 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
 
     A = s1_out.conj().T @ S1 @ s1_in
     C = s2_out.conj().T @ S2 @ s2_in
-    # G's eigenvalues are accurate to about eps * lambda_max, far below the
-    # preselection level; the basis holds the candidates and the top
-    # eigenvector, each once
-    w, E = np.linalg.eigh(_constraint_gram(A, C))
-    keep = max(1, int(np.count_nonzero(w <= num_tol.rank_rel * w[-1])))
-    basis = E[:, np.r_[: min(keep, w.size - 1), w.size - 1]]
-    null = basis @ _null_vectors(_apply_constraints(A, C, basis), num_tol)
+    null = _coincidence_null(A, C, num_tol)
     vec = null @ (np.random.default_rng(0).standard_normal((null.shape[1], 2)) @ [1.0, 1j])
     U_out = _polar_unitary(vec[: p * p].reshape(p, p))
     U_in = _polar_unitary(vec[p * p :].reshape(q, q))

@@ -1,12 +1,16 @@
 """Dense reference for the weak-coincidence constraints: the tall matrix
 whose rows are the relations X A = C Y and Y A* = C* X, blockwise, on the
-row-major (vec X, vec Y).
+row-major (vec X, vec Y), and the solve the library used to take on it.
 
-The library forms only the Gram matrix of these rows, in closed form; the
-tests use the rows as an oracle.
+The library forms neither these rows nor their (p^2 + q^2)-square Gram: it
+takes the Gram's blocks in closed form and one eigh of a partial Schur
+complement.  The tests use the rows, and one eigh of their full Gram, as
+the oracle.
 """
 
 import numpy as np
+
+from ncdbr.charfn import _null_vectors
 
 
 def left_rows(A):
@@ -32,3 +36,15 @@ def constraint_rows(pairs):
         rows.append(np.hstack([left_rows(M1), -right_rows(M2)]))
         rows.append(np.hstack([-right_rows(N2), left_rows(N1)]))
     return np.vstack(rows)
+
+
+def dense_null(A, C, tol):
+    """Null vectors of the constraints of (k, p, q) block stacks A, C from
+    one eigh of the full Gram of their rows: the eigenvectors with
+    eigenvalue at most rank_rel * lambda_max (at least one) and the top
+    one, with the rank decided by _null_vectors on the rows."""
+    L = constraint_rows([(a[None, :, None, :], c[None, :, None, :]) for a, c in zip(A, C)])
+    w, E = np.linalg.eigh(L.conj().T @ L)
+    keep = max(1, int(np.count_nonzero(w <= tol.rank_rel * w[-1])))
+    basis = E[:, np.r_[: min(keep, w.size - 1), w.size - 1]]
+    return basis @ _null_vectors(L @ basis, tol)

@@ -3,7 +3,7 @@ import pytest
 
 import ncdbr.charfn as charfn_module
 from conftest import ball_points, random_contraction, random_partial_isometry
-from dense_coincidence import constraint_rows
+from dense_coincidence import constraint_rows, dense_null
 from ncdbr.charfn import (
     SchurSampler,
     _apply_constraints,
@@ -354,9 +354,20 @@ def test_constraint_gram_matches_dense_rows(p, q):
         np.concatenate([M.transpose(0, 2, 1, 3).reshape(len(M) ** 2, p, q) for M in stack])
         for stack in zip(*pairs)
     )
-    G = _constraint_gram(A, C)
+    # G assembled from the returned blocks: G_YY from its eigenpairs and
+    # the cross block rotated back
+    G_XX, (lam_X, X_top), gamma, Q_C, delta, Q_A, H = _constraint_gram(A, C)
+    R = np.kron(Q_C, Q_A)
+    G_YY = (R * np.add.outer(gamma, delta).ravel()) @ R.conj().T
+    G = np.block([[G_XX, H @ R.conj().T], [R @ H.conj().T, G_YY]])
     assert G.shape == ref.shape == (p * p + q * q, p * p + q * q)
     assert np.linalg.norm(G - ref, 2) <= 1e-12 * max(np.linalg.norm(ref, 2), 1.0)
+    # G_XX's top eigenpair, from its two p x p factors
+    scale = max(np.linalg.norm(G_XX, 2), 1.0)
+    assert abs(lam_X - np.linalg.eigvalsh(G_XX)[-1]) <= 1e-12 * scale
+    x = X_top.ravel()
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    assert np.linalg.norm(G_XX @ x - lam_X * x) <= 1e-12 * scale
     # the constraints applied to a batch of unknowns have the dense rows'
     # Gram on the batch, whatever the row order
     basis = rng.standard_normal((p * p + q * q, 3)) + 1j * rng.standard_normal((p * p + q * q, 3))
@@ -367,29 +378,51 @@ def test_constraint_gram_matches_dense_rows(p, q):
     assert np.linalg.norm(gram - want, 2) <= 1e-12 * max(np.linalg.norm(want, 2), 1.0)
 
 
+def _split(blocks, tol=DEFAULT_TOL):
+    """(lam, p^2 + q^2, p^2 + #weak) of _constraint_gram's blocks: the
+    preselection scale, the unknown count and the reduced size."""
+    G_XX, (lam_X, _), gamma, _, delta, _, _ = blocks
+    eig_Y = np.add.outer(gamma, delta).ravel()
+    lam = max(lam_X, eig_Y.max(initial=0.0))
+    weak = int(np.count_nonzero(eig_Y <= np.sqrt(tol.rank_rel) * lam))
+    return lam, G_XX.shape[0] + eig_Y.size, G_XX.shape[0] + weak
+
+
 def _spy_null_vectors(monkeypatch):
-    """Record (columns passed, null vectors returned) of every _null_vectors
-    call, with the Gram eigenvalues that preceded it, and require at most
-    one column more than the Gram eigenvalue preselection's candidates."""
+    """Record (columns passed, null vectors returned, unknowns p^2 + q^2) of
+    every _null_vectors call.  Require that the eigh just before it is the
+    (p^2 + #weak)-square reduced one, and that the call gets at most one
+    column more than that eigh's candidates, eigenvalue at most
+    rank_rel * lam."""
     calls = []
     eigenvalues = []
+    splits = []
     eigh = np.linalg.eigh
     null_vectors = charfn_module._null_vectors
+    constraint_gram = charfn_module._constraint_gram
 
     def spy_eigh(M):
         w, E = eigh(M)
         eigenvalues.append(w)
         return w, E
 
+    def spy_gram(A, C):
+        blocks = constraint_gram(A, C)
+        splits.append(_split(blocks))
+        return blocks
+
     def spy_null(A, tol):
+        lam, unknowns, reduced = splits[-1]
         w = eigenvalues[-1]
-        candidates = max(1, int(np.count_nonzero(w <= tol.rank_rel * w[-1])))
+        assert w.size == reduced
+        candidates = max(1, int(np.count_nonzero(w <= tol.rank_rel * lam)))
         assert A.shape[1] <= candidates + 1
         N = null_vectors(A, tol)
-        calls.append((A.shape[1], N.shape[1], w))
+        calls.append((A.shape[1], N.shape[1], unknowns))
         return N
 
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(charfn_module, "_constraint_gram", spy_gram)
     monkeypatch.setattr(charfn_module, "_null_vectors", spy_null)
     return calls
 
@@ -413,6 +446,34 @@ def test_weak_coincidence_largest_popescu_fit(monkeypatch):
     assert [null for _, null, _ in calls] == [1]
 
 
+def test_weak_coincidence_largest_fit_eigh_sizes(monkeypatch):
+    # no eigh of the (3, 6) fit exceeds the reduced p^2 + #weak, here 36:
+    # G_YY is diagonalized from two 18 x 18 factors, never as 324 x 324
+    T = random_contraction(36, 3, 6)
+    B1, B2 = char_fn(T), popescu_char(T)
+    sizes = []
+    splits = []
+    eigh = np.linalg.eigh
+    constraint_gram = charfn_module._constraint_gram
+
+    def spy_eigh(M):
+        sizes.append(M.shape[0])
+        return eigh(M)
+
+    def spy_gram(A, C):
+        blocks = constraint_gram(A, C)
+        splits.append(_split(blocks))
+        return blocks
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(charfn_module, "_constraint_gram", spy_gram)
+    _, _, _, ok = weak_coincidence_fit(B1, B2, ball_points(3, 6, seed=100), ball_points(3, 4, seed=900))
+    assert ok
+    [(_, unknowns, reduced)] = splits
+    assert unknowns == 36 + 324
+    assert max(sizes) <= reduced and max(sizes) <= 36
+
+
 def test_weak_coincidence_reducible_null_space_of_dimension_two(monkeypatch):
     # T = A (+) B with m = 3 + 3: each summand's identity is an
     # intertwiner, so the null space has dimension 2
@@ -430,8 +491,8 @@ def test_weak_coincidence_reducible_null_space_of_dimension_two(monkeypatch):
 
 @pytest.mark.parametrize("negative", [False, True])
 def test_weak_coincidence_decides_rank_on_gram_candidates(monkeypatch, negative):
-    # the rank decision sees the candidates of the Gram eigenvalue
-    # preselection and the top eigenvector, never the full unknown space
+    # the rank decision sees the candidates of the reduced eigenvalue
+    # preselection and the top direction, never the full unknown space
     calls = _spy_null_vectors(monkeypatch)
     T = random_contraction(13, 2, 4)
     B2 = char_fn(random_contraction(14, 2, 4)) if negative else popescu_char(T)
@@ -440,8 +501,122 @@ def test_weak_coincidence_decides_rank_on_gram_candidates(monkeypatch, negative)
     _, _, _, ok = weak_coincidence_fit(char_fn(T), B2, fit, hold)
     assert ok != negative
     assert len(calls) == 1
-    columns, _, w = calls[0]
-    assert columns < w.size
+    columns, _, unknowns = calls[0]
+    assert columns < unknowns
+
+
+def _fit_against_dense_oracle(monkeypatch, B1, B2, fit, hold):
+    """weak_coincidence_fit with the library's solve and with the dense
+    full-Gram oracle in its place: the verdicts and null-space dimensions
+    must agree, and a positive fit must hold to 1e-12.  Returns the
+    verdict."""
+    results = []
+    for solve in (charfn_module._coincidence_null, dense_null):
+        dims = []
+
+        def recorded(A, C, tol, solve=solve, dims=dims):
+            N = solve(A, C, tol)
+            dims.append(N.shape[1])
+            return N
+
+        monkeypatch.setattr(charfn_module, "_coincidence_null", recorded)
+        _, _, res, ok = weak_coincidence_fit(B1, B2, fit, hold)
+        results.append((ok, dims))
+        if ok:
+            assert res <= 1e-12
+    monkeypatch.undo()
+    assert results[0] == results[1]
+    return results[0][0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weak_coincidence_matches_dense_oracle(monkeypatch, d):
+    fit = ball_points(d, 6, seed=100)
+    hold = ball_points(d, 4, seed=900)
+    for m in range(2, 7):
+        T = random_contraction(600 + 10 * d + m, d, m)
+        B1 = char_fn(T)
+        assert _fit_against_dense_oracle(monkeypatch, B1, popescu_char(T), fit, hold)
+        other = char_fn(random_contraction(700 + 10 * d + m, d, m))
+        assert not _fit_against_dense_oracle(monkeypatch, B1, other, fit, hold)
+
+
+def test_weak_coincidence_reducible_matches_dense_oracle(monkeypatch):
+    T = _direct_sum_contraction(random_contraction(32, 2, 3), random_contraction(42, 2, 3, norm=0.6))
+    fit = ball_points(2, 6, seed=100)
+    hold = ball_points(2, 4, seed=900)
+    assert _fit_against_dense_oracle(monkeypatch, char_fn(T), popescu_char(T), fit, hold)
+
+
+@pytest.mark.parametrize("p, q", [(0, 3), (3, 0)])
+def test_coincidence_null_of_empty_support(p, q):
+    # with p = 0 or q = 0 every constraint row is empty and every unknown
+    # is null
+    rng = np.random.default_rng(p + 7 * q)
+    A, C = (rng.standard_normal((4, p, q)) + 1j * rng.standard_normal((4, p, q)) for _ in range(2))
+    N = charfn_module._coincidence_null(A, C, DEFAULT_TOL)
+    ref = dense_null(A, C, DEFAULT_TOL)
+    assert N.shape == ref.shape == (p * p + q * q, p * p + q * q)
+    assert np.linalg.norm(N.conj().T @ N - np.eye(N.shape[1]), 2) <= 1e-12
+
+
+def _linear_sampler(M):
+    """Z -> sum_j Z_j (x) M_j for a (d, p, q) stack of coefficient maps."""
+    d, p, q = M.shape
+    return SchurSampler(d=d, input_dim=q, output_dim=p, evaluator=lambda Z: point_block(Z, M))
+
+
+def _weak_support_pair(weight, miss=0.0, seed=0):
+    """A linear sampler with d = 3, p = 2, q = 5 whose last input column is
+    scaled by weight, and its unitary rotation; miss perturbs one entry of
+    the rotated copy."""
+    rng = np.random.default_rng(seed)
+    cm = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    M = cm(3, 2, 5)
+    M /= 2.0 * np.linalg.norm(M.reshape(-1, 5), 2)
+    M[:, :, -1] *= weight
+    U_out, U_in = (np.linalg.qr(cm(k, k))[0] for k in (2, 5))
+    M2 = M.copy()
+    M2[0, 0, 0] += miss
+    return _linear_sampler(M), _linear_sampler(U_out @ M2 @ U_in.conj().T)
+
+
+@pytest.mark.parametrize("weight", [1e-5, 1e-8, 1e-9])
+def test_weak_coincidence_weak_support_matches_dense_oracle(monkeypatch, weight):
+    # the weak input column keeps G_YY eigenvalues at round-off; those
+    # directions stay unknowns of the reduced problem
+    fit = ball_points(3, 6, seed=100)
+    hold = ball_points(3, 4, seed=900)
+    assert _fit_against_dense_oracle(monkeypatch, *_weak_support_pair(weight), fit, hold)
+    near_miss = _weak_support_pair(weight, miss=1e-3)
+    assert not _fit_against_dense_oracle(monkeypatch, *near_miss, fit, hold)
+
+
+def test_full_elimination_fails_on_weak_support(monkeypatch):
+    # eliminating every Y direction, weak ones included, divides by a G_YY
+    # eigenvalue that round-off put at or below 0: the reduced matrix is not
+    # finite, while the kept weak direction gives the right fit
+    stacks = []
+    solve = charfn_module._coincidence_null
+
+    def captured(A, C, tol):
+        stacks.append((A, C))
+        return solve(A, C, tol)
+
+    monkeypatch.setattr(charfn_module, "_coincidence_null", captured)
+    B1, B2 = _weak_support_pair(1e-9)
+    _assert_tight_fit(*weak_coincidence_fit(B1, B2, ball_points(3, 6), ball_points(3, 4, seed=900)))
+    [(A, C)] = stacks
+    G_XX, _, gamma, _, delta, _, H = _constraint_gram(A, C)
+    eig_Y = np.add.outer(gamma, delta).ravel()
+    assert eig_Y.min() <= 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        K = H / np.sqrt(eig_Y)
+        try:
+            w = np.linalg.eigh(G_XX - K @ K.conj().T)[0]
+        except np.linalg.LinAlgError:
+            w = np.array([np.nan])
+    assert not np.all(np.isfinite(w))
 
 
 def _commutator_sampler(c):
