@@ -109,21 +109,31 @@ def char_fn_partial_isometry(V, tol=DEFAULT_TOL):
 
     The transfer function gamma0* [I - Z V^*]^{-1} [I (x) Z] gammaInf of
     the colligation (A_j = V_j^*, B_j = the j-th block of gammaInf,
-    C = gamma0*, D = 0), amplified to the level of Z.  The paper's
-    denominator gamma0* [I - Z V^*]^{-1} gamma0 is the identity, since
-    V_j^* gamma0 = 0 for every j.  Satisfies B_V(0) = 0.
+    C = gamma0*, D = 0), amplified to the level of Z: char_fn's
+    realization at T = V and delta = 0, where D_delta and D_delta* are
+    exact identities.  The paper's denominator
+    gamma0* [I - Z V^*]^{-1} gamma0 is the identity, since V_j^* gamma0 = 0
+    for every j.  Satisfies B_V(0) = 0.
     """
-    return _frames_char_fn(V, canonical_frames(V, tol), tol)
+    frames = canonical_frames(V, tol)
+    delta = np.zeros((frames.gamma0.shape[1], frames.gammaInf.shape[1]))
+    return _frames_char_fn(V, frames, delta, tol)
 
 
-def _frames_char_fn(V, frames, tol):
-    m = V.m
+def _frames_char_fn(T, frames, delta, tol):
+    """The one builder of B_T and B_V: the transfer sampler
+    of the colligation (A_j = T_j^*, B_j = gammaInf_j D_delta,
+    C = D_delta* gamma0*, D = delta), for the canonical frames of T's
+    isometric part and T's defect point delta.  The node is unitary and
+    its column [A_1; ...; A_d] has norm ||T||_row <= 1."""
+    _, D_delta, D_delta_star = _moebius_defects(-delta, tol)
+    m = T.m
     g_inf = frames.gammaInf
     colligation = Colligation(
-        A=tuple(Vj.conj().T for Vj in V.ops),
-        B=tuple(g_inf[j * m : (j + 1) * m, :] for j in range(V.d)),
-        C=frames.gamma0.conj().T,
-        D=np.zeros((frames.gamma0.shape[1], g_inf.shape[1])),
+        A=tuple(Tj.conj().T for Tj in T.ops),
+        B=tuple(g_inf[j * m : (j + 1) * m, :] @ D_delta for j in range(T.d)),
+        C=D_delta_star @ frames.gamma0.conj().T,
+        D=delta,
     )
     return _transfer_sampler(colligation, tol, "char_fn")
 
@@ -131,21 +141,26 @@ def _frames_char_fn(V, frames, tol):
 def char_fn(T, tol=DEFAULT_TOL):
     """Characteristic function B_T of a row contraction.
 
-    The operator-Moebius map of B_V at minus the defect point:
+    The operator-Moebius map of B_V at minus the defect point,
     B_T(Z) = D_{delta*} (I + B_V(Z) delta*)^{-1} (B_V(Z) + delta)
-    D_delta^{-1}, amplified per level.  Satisfies B_T(0) = delta.
+    D_delta^{-1}, realized on the NC resolvent of T itself:
+    B_T(Z) = delta + D_{delta*} gamma0* [I - Z T^*]^{-1} [I (x) Z]
+    gammaInf D_delta, the transfer function of the unitary colligation
+    (A_j = T_j^*, B_j = gammaInf_j D_delta, C = D_{delta*} gamma0*,
+    D = delta), amplified per level.  One pencil solve per value.
+
+    Derivation: the Moebius map equals
+    delta + D_{delta*} (I + B_V delta*)^{-1} B_V D_delta.  With
+    B_V = gamma0* R_V K, R_V = [I - Z V^*]^{-1} and K = [I (x) Z] gammaInf,
+    push-through gives (I + B_V delta*)^{-1} B_V
+    = gamma0* [R_V^{-1} + K delta* gamma0*]^{-1} K, and
+    R_V^{-1} + K delta* gamma0* = I - Z T^*, because
+    T_j^* = V_j^* - gammaInf_j delta* gamma0* by T = V - gamma0 delta
+    gammaInf*.  Satisfies B_T(0) = delta.
     """
     V = iso_pure_decompose(T, tol).V
     frames = canonical_frames(V, tol)
-    B_V = _frames_char_fn(V, frames, tol)
-    forward, _ = _moebius_maps(-_frames_defect_point(T, frames), tol)
-    return SchurSampler(
-        d=T.d,
-        input_dim=B_V.input_dim,
-        output_dim=B_V.output_dim,
-        evaluator=lambda Z: forward(B_V(Z), Z.n),
-        tag="char_fn",
-    )
+    return _frames_char_fn(T, frames, _frames_defect_point(T, frames), tol)
 
 
 def popescu_char(T, tol=DEFAULT_TOL):

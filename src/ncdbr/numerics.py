@@ -95,16 +95,18 @@ def _fix_column_phases(B, tol):
 
     This is the deterministic sign convention: SVD bases are unique only
     up to per-column phases, so we normalize them for reproducibility.
+    An entry is significant above rank_rel * max(1, its column's largest
+    modulus); a column with no significant entry is left as it is.
     """
-    B = B.copy()
-    for k in range(B.shape[1]):
-        col = B[:, k]
-        idx = np.flatnonzero(np.abs(col) > tol.rank_rel * max(1.0, np.abs(col).max()))
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        B[:, k] = col * (np.conj(pivot) / np.abs(pivot))
-    return B
+    if B.size == 0:
+        return B.copy()
+    mag = np.abs(B)
+    significant = mag > tol.rank_rel * np.maximum(1.0, mag.max(axis=0))
+    cols = np.arange(B.shape[1])
+    rows = np.argmax(significant, axis=0)
+    has_pivot = significant[rows, cols]
+    pivots = np.where(has_pivot, B[rows, cols], 1.0)
+    return B * (np.conj(pivots) / np.abs(pivots))
 
 
 def _svd_rank(s, tol):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ncdbr.charfn as charfn_module
 from conftest import ball_points, random_contraction, random_partial_isometry
@@ -884,4 +886,92 @@ def test_empty_frames_evaluate_through_transfer_eval(monkeypatch):
             value = char_fn_partial_isometry(V)(Z)
             assert calls == [(p, q)]
             assert value.shape == (p * Z.n, q * Z.n)
+            calls.clear()
             assert char_fn(V)(Z).shape == value.shape
+            assert calls == [(p, q)]
+
+
+def test_char_fn_value_is_one_pencil_solve(monkeypatch):
+    import ncdbr.realization
+
+    T = random_contraction(14, 3, 4)
+    B = char_fn(T)
+    Z = sample_ball_point(3, 3, 0.9, 15)
+    want = B(Z)
+    solves, checks = [], []
+    solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(ncdbr.realization, "_ill_condition", lambda M, tol: checks.append(M.shape))
+    value = B(Z)
+    monkeypatch.undo()
+    # the pencil I - Z T^* alone: no Moebius solve, and rho = 0.81 rules
+    # out a singular pencil without the SVD check
+    assert solves == [(T.m * Z.n, T.m * Z.n)]
+    assert not checks
+    assert np.array_equal(value, want)
+
+
+def _char_fn_colligation(T):
+    """char_fn(T) and the colligation its values are evaluated from."""
+    seen = []
+
+    def spy(c, X, tol=DEFAULT_TOL):
+        seen.append(c)
+        return transfer_eval(c, X, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charfn_module, "transfer_eval", spy)
+        B = char_fn(T)
+        B.at_zero()
+    return B, seen[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 5),
+    rank=st.integers(0, 5),
+    scale=st.floats(0.0, 0.9),
+    seed=st.integers(0, 10_000),
+)
+@example(d=1, m=3, rank=3, scale=0.0, seed=0)  # p = q = 0
+@example(d=2, m=2, rank=2, scale=0.5, seed=1)  # p = 0
+@example(d=3, m=2, rank=0, scale=0.9, seed=2)  # V = 0
+def test_char_fn_colligation_is_unitary_moebius_of_bv(d, m, rank, scale, seed):
+    rank = min(rank, m)
+    V = random_partial_isometry(seed, d, m, rank)
+    rng = np.random.default_rng(seed + 1)
+    delta = rng.standard_normal((m - rank, m * d - rank)) + 1j * rng.standard_normal(
+        (m - rank, m * d - rank)
+    )
+    if delta.size:
+        delta *= scale / np.linalg.norm(delta, 2)
+    T = reconstruct(V, delta)
+    B, c = _char_fn_colligation(T)
+    M = c.block_matrix()
+    assert np.linalg.norm(M.conj().T @ M - np.eye(M.shape[1]), 2) <= 1e-12
+    assert np.linalg.norm(M @ M.conj().T - np.eye(M.shape[0]), 2) <= 1e-12
+    assert c.A_norm <= np.linalg.norm(T.row(), 2) + 1e-12
+    alpha = -defect_point(T)
+    for n in (1, 2, 3, 4):
+        Z = sample_ball_point(d, n, 0.7, seed + n)
+        value = B(Z)
+        _, bv = _bv_quotient(V, Z)
+        assert value.shape == bv.shape == (delta.shape[0] * n, delta.shape[1] * n)
+        if value.size:
+            assert np.abs(value - moebius(alpha, bv)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_char_fn_jordan_mix_closed_form(k):
+    # T = J - e1 delta e2*, so B_T(z) = (z^2 + delta) / (1 + delta z^2)
+    delta = 1.0 - 10.0**-k
+    B = char_fn(reconstruct(JORDAN, [[delta]]))
+    for z in (0.0, 0.3, -0.5, 0.2 + 0.4j, 0.9j, -0.95):
+        want = (z * z + delta) / (1.0 + delta * z * z)
+        assert abs(B(scalar_point(z))[0, 0] - want) <= 1e-14

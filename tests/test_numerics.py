@@ -7,6 +7,7 @@ from ncdbr.errors import NotHermitian, NotPSD
 from ncdbr.numerics import (
     DEFAULT_TOL,
     Tolerance,
+    _fix_column_phases,
     _svd_rank,
     orthonormal_kernel,
     orthonormal_range,
@@ -144,3 +145,62 @@ def test_psd_sqrt_property(seed, n):
     S = psd_sqrt(A)
     assert np.linalg.norm(S @ S - A) < 1e-9 * max(1.0, np.linalg.norm(A))
     assert np.all(np.linalg.eigvalsh((S + S.conj().T) / 2) > -1e-10)
+
+
+def _fix_column_phases_loop(B, tol):
+    """The per-column loop that _fix_column_phases vectorizes, kept as its
+    oracle; it cannot take an input with no rows."""
+    B = B.copy()
+    for k in range(B.shape[1]):
+        col = B[:, k]
+        idx = np.flatnonzero(np.abs(col) > tol.rank_rel * max(1.0, np.abs(col).max()))
+        if idx.size == 0:
+            continue
+        pivot = col[idx[0]]
+        B[:, k] = col * (np.conj(pivot) / np.abs(pivot))
+    return B
+
+
+def _pivot_rows(B, tol):
+    """Row of each column's first significant entry, None where it has none."""
+    mag = np.abs(B)
+    rows = []
+    for k in range(B.shape[1]):
+        idx = np.flatnonzero(mag[:, k] > tol.rank_rel * max(1.0, mag[:, k].max()))
+        rows.append(int(idx[0]) if idx.size else None)
+    return rows
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 36])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fix_column_phases_matches_loop(rows, seed):
+    rng = np.random.default_rng(10 * rows + seed)
+    B = rng.standard_normal((rows, 7)) + 1j * rng.standard_normal((rows, 7))
+    B[:, 1] = 0.0
+    B[:, 2] *= 1e-12  # every entry below the absolute floor rank_rel
+    B[:2, 3] *= 1e-12  # pivot past the leading entries
+    B[:, 4] *= 1e3
+    B[:2, 4] *= 1e-11  # below rank_rel times the column's largest modulus
+    B[:, 5] *= 0.5 / np.abs(B[:, 5]).max()
+    B[0, 5] = 1e-10  # at the cutoff rank_rel * max(1, 0.5), not significant
+    got = _fix_column_phases(B, DEFAULT_TOL)
+    want = _fix_column_phases_loop(B, DEFAULT_TOL)
+    assert got.shape == B.shape
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+    # columns with no significant entry are returned unchanged
+    assert np.array_equal(got[:, 1], B[:, 1]) and np.array_equal(got[:, 2], B[:, 2])
+    # both make the input's first significant entry of each column real
+    # positive, so they picked the same pivot rows
+    pivots = _pivot_rows(B, DEFAULT_TOL)
+    assert pivots[1] is pivots[2] is None and pivots[3] == (2 if rows > 2 else None)
+    for k, r in enumerate(pivots):
+        for out in (got, want):
+            if r is not None:
+                assert out[r, k].real > 0 and abs(out[r, k].imag) <= 4 * np.finfo(float).eps * abs(out[r, k])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_fix_column_phases_of_empty_input(shape):
+    B = np.zeros(shape, dtype=complex)
+    got = _fix_column_phases(B, DEFAULT_TOL)
+    assert got.shape == shape and got is not B
