@@ -5,7 +5,9 @@ Every operator-valued function of a ball point is wrapped as a
 SchurSampler, which records the coefficient-space dimensions and a
 provenance tag and evaluates in the fixed tensor layout: a value at a
 level-n point is an (output_dim*n) x (input_dim*n) matrix whose (p, q)
-coefficient block has size output_dim x input_dim.
+coefficient block has size output_dim x input_dim.  One operator Moebius
+map, in a form that inverts no defect, serves moebius, moebius_inv
+(M_a^{-1} = M_{-a}) and frostman_shift.
 """
 
 from dataclasses import dataclass
@@ -149,7 +151,7 @@ def char_fn(T, tol=DEFAULT_TOL):
     (A_j = T_j^*, B_j = gammaInf_j D_delta, C = D_{delta*} gamma0*,
     D = delta), amplified per level.  One pencil solve per value.
 
-    Derivation: the Moebius map equals
+    Derivation: the Moebius map in moebius's inverse-free form is
     delta + D_{delta*} (I + B_V delta*)^{-1} B_V D_delta.  With
     B_V = gamma0* R_V K, R_V = [I - Z V^*]^{-1} and K = [I (x) Z] gammaInf,
     push-through gives (I + B_V delta*)^{-1} B_V
@@ -195,53 +197,53 @@ def _moebius_defects(alpha, tol):
 
 
 def _lift_level(alpha, zeta):
+    """The level ell of a (p ell) x (q ell) zeta over the p x q alpha; a zero
+    side of alpha must stay zero in zeta, and ell is 1 when both are zero."""
     zeta = np.asarray(zeta, dtype=complex)
-    p, q = alpha.shape
-    if p == 0 or q == 0:
-        if zeta.size:
-            raise DimensionMismatch("zeta incompatible with empty alpha")
-        return 1, zeta
-    if zeta.shape[0] % p or zeta.shape[1] % q:
-        raise DimensionMismatch("zeta shape is not an amplification of alpha")
-    ell = zeta.shape[0] // p
-    if zeta.shape[1] // q != ell:
-        raise DimensionMismatch("row and column amplification levels differ")
-    return ell, zeta
+    sides = tuple(zip(zeta.shape, alpha.shape))
+    levels = {n // k for n, k in sides if k}
+    if zeta.ndim != 2 or len(levels) > 1 or any(n % k if k else n for n, k in sides):
+        raise DimensionMismatch(
+            "zeta shape %s is not an amplification of alpha shape %s" % (zeta.shape, alpha.shape)
+        )
+    return (levels.pop() if levels else 1), zeta
 
 
-def _moebius_maps(alpha, tol):
-    """The Moebius map at alpha and its inverse, as functions of a value
-    zeta at level ell; the defects and their inverses are built once."""
+def _moebius_map(alpha, tol):
+    """The Moebius map at alpha as a function of a value zeta at level ell,
+    in its inverse-free form
+    -(a (x) I) + (D_{a*} (x) I)(I - zeta (a* (x) I))^{-1} zeta (D_a (x) I).
+    The defects are built once, and neither is inverted."""
     alpha, D_a, D_a_star = _moebius_defects(alpha, tol)
-    D_a_inv = pinv(D_a, tol)
-    D_a_star_inv = pinv(D_a_star, tol)
 
-    def forward(zeta, ell):
+    def moebius_at(zeta, ell):
         denom = np.eye(zeta.shape[0], dtype=complex) - zeta @ coeff_lift(alpha.conj().T, ell)
-        core = np.linalg.solve(denom, zeta - coeff_lift(alpha, ell))
-        return coeff_lift(D_a_star, ell) @ core @ coeff_lift(D_a_inv, ell)
+        core = np.linalg.solve(denom, zeta)
+        return coeff_lift(D_a_star, ell) @ core @ coeff_lift(D_a, ell) - coeff_lift(alpha, ell)
 
-    def inverse(zeta, ell):
-        denom = np.eye(zeta.shape[1], dtype=complex) + coeff_lift(alpha.conj().T, ell) @ zeta
-        core = np.linalg.solve(denom.conj().T, (zeta + coeff_lift(alpha, ell)).conj().T).conj().T
-        return coeff_lift(D_a_star_inv, ell) @ core @ coeff_lift(D_a, ell)
-
-    return forward, inverse
+    return moebius_at
 
 
 def moebius(alpha, zeta, tol=DEFAULT_TOL):
-    """Operator Moebius map D_{a*} (I - zeta a*)^{-1} (zeta - a) D_a^{-1},
-    with zeta allowed at any amplification level of alpha."""
-    forward, _ = _moebius_maps(alpha, tol)
-    ell, zeta = _lift_level(np.asarray(alpha), zeta)
-    return forward(zeta, ell)
+    """Operator Moebius map M_a(zeta) = D_{a*} (I - zeta a*)^{-1} (zeta - a)
+    D_a^{-1}, with zeta allowed at any amplification level of alpha.
+
+    No defect is inverted: a D_a = D_{a*} a gives a = D_{a*} a D_a^{-1}, and
+    (zeta - a) + (I - zeta a*) a = zeta D_a^2, so
+    M_a(zeta) = -a + D_{a*} (I - zeta a*)^{-1} zeta D_a.  Likewise, from
+    a = D_{a*}^{-1} a D_a, M_a^{-1}(zeta) = D_{a*}^{-1} (zeta + a)
+    (I + a* zeta)^{-1} D_a = a + D_{a*} zeta (I + a* zeta)^{-1} D_a, which
+    push-through and D_{-a} = D_a turn into M_{-a}(zeta): M_a^{-1} = M_{-a}.
+    """
+    alpha = np.asarray(alpha)
+    ell, zeta = _lift_level(alpha, zeta)
+    return _moebius_map(alpha, tol)(zeta, ell)
 
 
 def moebius_inv(alpha, zeta, tol=DEFAULT_TOL):
-    """Inverse Moebius map D_{a*}^{-1} (zeta + a)(I + a* zeta)^{-1} D_a."""
-    _, inverse = _moebius_maps(alpha, tol)
-    ell, zeta = _lift_level(np.asarray(alpha), zeta)
-    return inverse(zeta, ell)
+    """Inverse Moebius map D_{a*}^{-1} (zeta + a)(I + a* zeta)^{-1} D_a,
+    which is the Moebius map at -alpha."""
+    return moebius(-np.asarray(alpha), zeta, tol)
 
 
 def xi_map(alpha, beta, tol=DEFAULT_TOL):
@@ -263,26 +265,21 @@ def frostman_shift(B, alpha, tol=DEFAULT_TOL):
     """Moebius renormalization of B moving its value at 0 to alpha.
 
     First normalizes to B0 with B0(0) = 0 via the Moebius map at B(0),
-    then applies the inverse Moebius map at alpha.
+    then applies the inverse Moebius map at alpha, the Moebius map at
+    -alpha; at alpha = 0 that map is the identity.
     """
     b0 = B.at_zero()
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != b0.shape:
         raise DimensionMismatch("alpha must match the coefficient spaces of B")
-    to_zero, _ = _moebius_maps(b0, tol)
-    from_zero = None
-    if np.linalg.norm(alpha, 2) > 0:
-        _, from_zero = _moebius_maps(alpha, tol)
-
-    def ev(Z):
-        normalized = to_zero(B(Z), Z.n)
-        return normalized if from_zero is None else from_zero(normalized, Z.n)
+    to_zero = _moebius_map(b0, tol)
+    from_zero = _moebius_map(-alpha, tol)
 
     return SchurSampler(
         d=B.d,
         input_dim=B.input_dim,
         output_dim=B.output_dim,
-        evaluator=ev,
+        evaluator=lambda Z: from_zero(to_zero(B(Z), Z.n), Z.n),
         tag="frostman",
     )
 

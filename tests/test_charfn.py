@@ -212,6 +212,122 @@ def test_frostman_moves_value_at_zero():
         frostman_shift(B, np.zeros((p + 1, q)))
 
 
+def _defect_roots(alpha):
+    """D_a, D_a^{-1}, D_{a*} and D_{a*}^{-1} from two eigh calls."""
+
+    def roots(M):
+        w, U = np.linalg.eigh(M)
+        return (U * np.sqrt(w)) @ U.conj().T, (U / np.sqrt(w)) @ U.conj().T
+
+    p, q = alpha.shape
+    return roots(np.eye(q) - alpha.conj().T @ alpha) + roots(np.eye(p) - alpha @ alpha.conj().T)
+
+
+def _moebius_quotients(alpha, zeta, ell):
+    """The paper's quotient forms of the Moebius map and its inverse,
+    D_{a*} (I - zeta a*)^{-1} (zeta - a) D_a^{-1} and
+    D_{a*}^{-1} (zeta + a)(I + a* zeta)^{-1} D_a, amplified by np.kron."""
+    lift = lambda M: np.kron(np.eye(ell), M)
+    D_a, D_a_inv, D_as, D_as_inv = map(lift, _defect_roots(alpha))
+    a, a_star = lift(alpha), lift(alpha.conj().T)
+    I_out, I_in = np.eye(zeta.shape[0]), np.eye(zeta.shape[1])
+    forward = D_as @ np.linalg.inv(I_out - zeta @ a_star) @ (zeta - a) @ D_a_inv
+    inverse = D_as_inv @ (zeta + a) @ np.linalg.inv(I_in + a_star @ zeta) @ D_a
+    return forward, inverse
+
+
+def _moebius_cases(rng, norm, count):
+    for trial in range(count):
+        p, q, ell = 1 + trial % 3, 1 + (trial // 3) % 3, 1 + trial % 4
+        alpha = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+        alpha *= norm / np.linalg.norm(alpha, 2)
+        shape = (p * ell, q * ell)
+        zeta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zeta *= 0.9 / np.linalg.norm(zeta, 2)
+        yield alpha, zeta, ell
+
+
+@pytest.mark.parametrize("norm", [0.0, 0.3, 0.6, 0.9, 0.99])
+def test_moebius_matches_quotient_forms(rng, norm):
+    for alpha, zeta, ell in _moebius_cases(rng, norm, 36):
+        forward, inverse = _moebius_quotients(alpha, zeta, ell)
+        assert np.linalg.norm(moebius(alpha, zeta) - forward, 2) <= 1e-12
+        assert np.linalg.norm(moebius_inv(alpha, zeta) - inverse, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("norm", [0.99, 0.999, 0.9999])
+def test_moebius_round_trip_near_the_boundary(rng, norm):
+    for alpha, zeta, ell in _moebius_cases(rng, norm, 100):
+        assert np.linalg.norm(moebius_inv(alpha, moebius(alpha, zeta)) - zeta, 2) <= 1e-10
+        assert np.linalg.norm(moebius(alpha, moebius_inv(alpha, zeta)) - zeta, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+def test_moebius_of_empty_alpha(shape):
+    alpha = np.zeros(shape)
+    p, q = shape
+    for ell in (1, 2, 3):
+        zeta = np.zeros((p * ell, q * ell))
+        for f in (moebius, moebius_inv, theta_map):
+            assert f(alpha, zeta).shape == zeta.shape
+        assert xi_map(alpha, zeta).shape == (p * ell, p * ell)
+    # a zero side that grows, or a width that is no multiple of alpha's
+    for f in (moebius, moebius_inv, xi_map, theta_map):
+        for bad in ((p + 1, q), (p, q + 1)):
+            with pytest.raises(DimensionMismatch):
+                f(alpha, np.zeros(bad))
+
+
+def _frostman_case(seed, norm):
+    T = random_contraction(seed, 2, 3)
+    B = char_fn(T)
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal(B.at_zero().shape) + 1j * rng.standard_normal(B.at_zero().shape)
+    return B, alpha * norm / np.linalg.norm(alpha, 2)
+
+
+def test_frostman_takes_no_pinv_and_two_solves_per_value(monkeypatch):
+    import ncdbr.numerics
+
+    B, alpha = _frostman_case(21, 0.7)
+    points = ball_points(2, 4, radius=0.6, seed=71, levels=(1, 2, 3))
+    pinvs, solves = [], []
+    solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    for module in (charfn_module, ncdbr.numerics):
+        real = module.pinv
+        monkeypatch.setattr(module, "pinv", lambda *a, real=real: pinvs.append(a) or real(*a))
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    shifted = frostman_shift(B, alpha)
+    for Z in points:
+        solves.clear()
+        B(Z)
+        own = len(solves)
+        solves.clear()
+        shifted(Z)
+        assert len(solves) == own + 2
+    assert not pinvs
+
+
+def test_frostman_at_zero_alpha_is_one_moebius_map():
+    B = char_fn(random_contraction(22, 2, 3))
+    shifted = frostman_shift(B, np.zeros_like(B.at_zero()))
+    for Z in ball_points(2, 4, radius=0.6, seed=72, levels=(1, 2, 3)):
+        assert np.array_equal(shifted(Z), moebius(B.at_zero(), B(Z)))
+    assert np.abs(shifted.at_zero()).max() <= 1e-14
+
+
+@pytest.mark.parametrize("norm", [1.0, 1.5])
+def test_frostman_rejects_non_strict_alpha(norm):
+    B, alpha = _frostman_case(23, norm)
+    with pytest.raises(NotStrict):
+        frostman_shift(B, alpha)
+
+
 def test_weak_coincidence_positive_and_negative():
     T = random_contraction(11, 2, 3)
     fit = ball_points(2, 6, seed=100)
