@@ -40,7 +40,6 @@ from .ncspace import (
 )
 from .numerics import (
     Tolerance,
-    orthonormal_kernel,
     orthonormal_range,
     pinv,
     psd_sqrt,

@@ -13,8 +13,12 @@ class NotPSD(NcdbrError):
     pass
 
 
-class NotFinite(NcdbrError):
+class NotFinite(NcdbrError, ValueError):
     """An input holds a NaN or Inf entry."""
+
+
+class NotContraction(NcdbrError, ValueError):
+    """An operator or multiplier has norm above 1 beyond tolerance."""
 
 
 class DimensionMismatch(NcdbrError):

@@ -12,11 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCNC, TruncationTooShort
+from .errors import DimensionMismatch, NotCNC, NotContraction, TruncationTooShort
 from .ncspace import pencil_tz_star, sample_ball_point, words_up_to
 from .numerics import DEFAULT_TOL, orthonormal_range
 from .numerics import _as_complex, _fix_column_phases, _psd_eigenvalues
-from .rowcontraction import _cnc_report, _defect_star
+from .rowcontraction import _cnc_report, defects
 
 __all__ = [
     "TruncatedFock",
@@ -113,7 +113,7 @@ def dbr_space(B_L, ambient, tol=DEFAULT_TOL):
     w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
     # the smallest eigenvalue is 1 - ||B_L||^2
     if w.size and 1.0 - w[0] > (1.0 + 1e-8) ** 2:
-        raise ValueError("truncated multiplier is not contractive")
+        raise NotContraction("truncated multiplier is not contractive")
     return _space(ambient, w, Q, tol)
 
 
@@ -184,7 +184,7 @@ def _model_space(T, N, tol):
     Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).
     """
     # one D_T* serves the CNC check and the model space
-    D_Tstar = _defect_star(T, tol)
+    D_Tstar = defects(T, tol)[1]
     F_out = orthonormal_range(D_Tstar, tol)
     if not _cnc_report(T, F_out, tol).is_cnc:
         raise NotCNC("model verification needs a CNC row contraction")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NotFinite, NotHermitian, NotPSD
 
 __all__ = [
     "Tolerance",
@@ -17,7 +17,6 @@ __all__ = [
     "psd_sqrt",
     "pinv",
     "orthonormal_range",
-    "orthonormal_kernel",
     "stabilized_span",
     "subspace_stable_basis",
 ]
@@ -46,7 +45,7 @@ def _as_complex(A):
     if A.ndim != 2:
         raise DimensionMismatch("expected a 2-d array, got ndim=%d" % A.ndim)
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise NotFinite("matrix contains NaN or Inf entries")
     return A
 
 
@@ -64,7 +63,12 @@ def psd_sqrt(A, tol=DEFAULT_TOL):
     herm_defect = np.linalg.norm(A - A.conj().T, 2) if A.size else 0.0
     if herm_defect > tol.eq_abs:
         raise NotHermitian("Hermitian defect %.3e exceeds eq_abs" % herm_defect)
-    w, Q = np.linalg.eigh((A + A.conj().T) / 2.0)
+    return _psd_root(*np.linalg.eigh((A + A.conj().T) / 2.0), tol)
+
+
+def _psd_root(w, Q, tol):
+    """The Hermitian root Q diag(w)^(1/2) Q* of ascending eigenvalues w with
+    orthonormal eigenvectors Q, under the PSD policy."""
     S = (Q * np.sqrt(_psd_eigenvalues(w, tol))) @ Q.conj().T
     return (S + S.conj().T) / 2.0
 
@@ -133,16 +137,6 @@ def orthonormal_range(A, tol=DEFAULT_TOL):
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     r = _svd_rank(s, tol)
     return _fix_column_phases(U[:, :r], tol)
-
-
-def orthonormal_kernel(A, tol=DEFAULT_TOL):
-    """Orthonormal columns spanning the numerical kernel of A."""
-    A = _as_complex(A)
-    if A.size == 0:
-        return np.eye(A.shape[1], dtype=complex)
-    _, s, Vh = np.linalg.svd(A)
-    r = _svd_rank(s, tol)
-    return _fix_column_phases(Vh[r:].conj().T, tol)
 
 
 def subspace_stable_basis(frame, tol=DEFAULT_TOL):

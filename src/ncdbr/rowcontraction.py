@@ -1,16 +1,18 @@
 """Row contractions: defects, isometric-pure split, CNC detection,
-canonical frames, defect points, and the Julia colligation."""
+canonical frames, defect points, and the Julia colligation, all read off
+the one full SVD of T's row taken at construction."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFinite, NotPartialIsometry, NotPure
+from .errors import DimensionMismatch, NotContraction, NotFinite, NotPartialIsometry, NotPure
 from .numerics import (
     DEFAULT_TOL,
-    orthonormal_kernel,
+    _psd_eigenvalues,
+    _psd_root,
+    _svd_rank,
     orthonormal_range,
-    psd_sqrt,
     stabilized_span,
     subspace_stable_basis,
 )
@@ -34,9 +36,14 @@ __all__ = [
 @dataclass(frozen=True)
 class RowContraction:
     """A row operator T = [T_1 ... T_d] from d copies of an m-dimensional
-    space to one copy, with || sum T_j T_j* || <= 1 up to tolerance."""
+    space to one copy, with || sum T_j T_j* || <= 1 up to tolerance.
+
+    row_svd is the full SVD (U, sigma, W*) of the row, taken at
+    construction and kept; the operators must not change in place.
+    """
 
     ops: tuple
+    row_svd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(T, dtype=complex) for T in self.ops)
@@ -48,10 +55,11 @@ class RowContraction:
                 raise DimensionMismatch("operators must be square of equal size")
             if not np.all(np.isfinite(T)):
                 raise NotFinite("operators contain NaN or Inf entries")
-        gram = sum(T @ T.conj().T for T in ops)
-        if np.linalg.norm(gram, 2) > 1.0 + 1e-8:
-            raise ValueError("row norm exceeds 1 beyond tolerance")
+        svd = np.linalg.svd(np.hstack(ops))
+        if svd[1].size and svd[1][0] ** 2 > 1.0 + 1e-8:
+            raise NotContraction("row norm exceeds 1 beyond tolerance")
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "row_svd", svd)
 
     @property
     def d(self):
@@ -64,6 +72,12 @@ class RowContraction:
     def row(self):
         """The m x md block row [T_1 ... T_d]."""
         return np.hstack(self.ops)
+
+
+def _from_row(row, d):
+    """The RowContraction of an m x md block row."""
+    m = row.shape[0]
+    return RowContraction(tuple(row[:, j * m : (j + 1) * m] for j in range(d)))
 
 
 @dataclass(frozen=True)
@@ -90,32 +104,25 @@ class CncReport:
 
 def defects(T, tol=DEFAULT_TOL):
     """Defect operators (D_T, D_Tstar): PSD square roots of I - T*T (md x md)
-    and I - TT* (m x m)."""
-    row = T.row()
-    D_T = psd_sqrt(np.eye(T.m * T.d) - row.conj().T @ row, tol)
-    return D_T, _defect_star(T, tol)
-
-
-def _defect_star(T, tol):
-    """D_Tstar alone, for callers that never use the md x md D_T."""
-    row = T.row()
-    return psd_sqrt(np.eye(T.m) - row @ row.conj().T, tol)
+    and I - TT* (m x m).  With the row's SVD U diag(sigma) W* they are
+    W diag(1 - sigma^2)^(1/2) W*, sigma padded by zeros to length md, and
+    U diag(1 - sigma^2)^(1/2) U*."""
+    U, s, Wh = T.row_svd
+    w = 1.0 - np.concatenate([s, np.zeros(Wh.shape[0] - s.size)]) ** 2
+    return _psd_root(w, Wh.conj().T, tol), _psd_root(w[: s.size], U, tol)
 
 
 def iso_pure_decompose(T, tol=DEFAULT_TOL):
     """Unique split T = V + C with V a row partial isometry and C pure.
 
-    V is T compressed to the kernel of D_T, where T acts isometrically.
+    V is T compressed to the kernel of D_T, where T acts isometrically:
+    the right singular vectors whose 1 - sigma^2 the PSD policy zeroes.
     """
-    D_T, _ = defects(T, tol)
-    ker = orthonormal_kernel(D_T, tol)
-    P = ker @ ker.conj().T
-    m = T.m
-    V_row = T.row() @ P
-    C_row = T.row() @ (np.eye(m * T.d) - P)
-    V = RowContraction(tuple(V_row[:, j * m : (j + 1) * m] for j in range(T.d)))
-    C = RowContraction(tuple(C_row[:, j * m : (j + 1) * m] for j in range(T.d)))
-    return IsoPureParts(V=V, C=C)
+    _, s, Wh = T.row_svd
+    ker = Wh[: np.count_nonzero(_psd_eigenvalues(1.0 - s**2, tol) == 0.0)]
+    row = T.row()
+    V_row = row @ ker.conj().T @ ker
+    return IsoPureParts(V=_from_row(V_row, T.d), C=_from_row(row - V_row, T.d))
 
 
 def cnc_rank(T, tol=DEFAULT_TOL):
@@ -123,7 +130,7 @@ def cnc_rank(T, tol=DEFAULT_TOL):
 
     T is completely non-coisometric exactly when this span is everything.
     """
-    return _cnc_report(T, orthonormal_range(_defect_star(T, tol), tol), tol)
+    return _cnc_report(T, orthonormal_range(defects(T, tol)[1], tol), tol)
 
 
 def _cnc_report(T, seed, tol):
@@ -135,21 +142,23 @@ def _cnc_report(T, seed, tol):
 
 
 def _check_partial_isometry(V, tol):
-    row = V.row()
-    G = row.conj().T @ row
-    defect = np.linalg.norm(G @ G - G, 2)
+    # G = V*V has eigenvalues sigma^2, so ||G^2 - G|| = max |sigma^4 - sigma^2|
+    s = V.row_svd[1]
+    defect = np.max(np.abs(s**4 - s**2), initial=0.0)
     if defect > 100.0 * tol.eq_abs:
         raise NotPartialIsometry("V*V fails idempotence by %.3e" % defect)
 
 
 def canonical_frames(V, tol=DEFAULT_TOL):
-    """Deterministic isometries onto (Ran V)^perp and Ker V."""
+    """Deterministic isometries onto (Ran V)^perp and Ker V: the left and
+    right singular vectors of V's row past its one rank decision."""
     _check_partial_isometry(V, tol)
-    row = V.row()
+    U, s, Wh = V.row_svd
+    r = _svd_rank(s, tol)
     # stabilize the kernel bases so the frames depend only on the
     # subspaces, not on perturbations at machine precision
-    gamma0 = subspace_stable_basis(orthonormal_kernel(row.conj().T, tol), tol)
-    gammaInf = subspace_stable_basis(orthonormal_kernel(row, tol), tol)
+    gamma0 = subspace_stable_basis(U[:, r:], tol)
+    gammaInf = subspace_stable_basis(Wh[r:].conj().T, tol)
     return CanonicalModelFrames(gamma0=gamma0, gammaInf=gammaInf)
 
 
@@ -170,16 +179,13 @@ def reconstruct(V, delta, tol=DEFAULT_TOL):
     Inverse of defect_point: the pure part is -gamma0 delta gammaInf*,
     so defect_point(reconstruct(V, delta)) returns delta.
     """
-    _check_partial_isometry(V, tol)
+    frames = canonical_frames(V, tol)
     delta = np.asarray(delta, dtype=complex)
     if delta.size and np.linalg.norm(delta, 2) >= 1.0:
         raise NotPure("delta must be a strict contraction")
-    frames = canonical_frames(V, tol)
     if delta.shape != (frames.gamma0.shape[1], frames.gammaInf.shape[1]):
         raise DimensionMismatch("delta shape must match the canonical frames")
-    row = V.row() - frames.gamma0 @ delta @ frames.gammaInf.conj().T
-    m = V.m
-    return RowContraction(tuple(row[:, j * m : (j + 1) * m] for j in range(V.d)))
+    return _from_row(V.row() - frames.gamma0 @ delta @ frames.gammaInf.conj().T, V.d)
 
 
 def julia_matrix(T, tol=DEFAULT_TOL):

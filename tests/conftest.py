@@ -1,10 +1,13 @@
 """Shared fixtures: seeded random row contractions, partial isometries,
 and ball-point samplers used across the test modules."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from ncdbr import RowContraction, sample_ball_point
+from ncdbr.numerics import psd_sqrt
 
 
 def random_contraction(seed, d, m, norm=0.9):
@@ -29,6 +32,35 @@ def random_partial_isometry(seed, d, m, rank):
         )[0]
         row = W @ K.conj().T
     return RowContraction(tuple(row[:, j * m : (j + 1) * m] for j in range(d)))
+
+
+def spy_decompositions(monkeypatch):
+    """Record each np.linalg.svd and np.linalg.eigh call, and each psd_sqrt
+    call through an ncdbr module, as (name, argument, caller's name)."""
+    calls = []
+
+    def spy(name, fn):
+        def recorded(A, *args, **kwargs):
+            calls.append((name, np.array(A), sys._getframe(1).f_code.co_name))
+            return fn(A, *args, **kwargs)
+
+        return recorded
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("ncdbr") and getattr(module, "psd_sqrt", None) is psd_sqrt:
+            monkeypatch.setattr(module, "psd_sqrt", spy("psd_sqrt", psd_sqrt))
+    return calls
+
+
+def decomposes_row(A, T):
+    """Whether A is T's row, its adjoint, one of its Grams or one of its
+    defects I - T*T and I - TT*."""
+    R = T.row()
+    grams = (R @ R.conj().T, R.conj().T @ R)
+    candidates = (R, R.conj().T) + grams + tuple(np.eye(G.shape[0]) - G for G in grams)
+    return any(A.shape == B.shape and np.allclose(A, B, atol=1e-12) for B in candidates)
 
 
 def ball_points(d, count, radius=0.5, seed=100, levels=(1, 2)):

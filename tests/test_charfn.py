@@ -4,7 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncdbr.charfn as charfn_module
-from conftest import ball_points, random_contraction, random_partial_isometry
+from conftest import (
+    ball_points,
+    decomposes_row,
+    random_contraction,
+    random_partial_isometry,
+    spy_decompositions,
+)
 from dense_coincidence import constraint_rows, dense_null
 from ncdbr.charfn import (
     SchurSampler,
@@ -39,6 +45,7 @@ from ncdbr.realization import transfer_eval
 from ncdbr.rowcontraction import (
     RowContraction,
     canonical_frames,
+    cnc_rank,
     defect_point,
     iso_pure_decompose,
     reconstruct,
@@ -870,6 +877,33 @@ def test_char_fn_builds_canonical_frames_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert np.linalg.norm(B.at_zero() - defect_point(T), 2) < 1e-10
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
+    # char_fn, popescu_char and cnc_rank read T's defects, split and frames
+    # off the SVD that T took when it was built.  The parts V and C take
+    # their own SVD when they are built, and psd_sqrt roots only delta's
+    # defects, in _moebius_defects; nothing else decomposes T's row, its
+    # Grams or its defects.
+    V = random_partial_isometry(70 + rank, 2, 3, rank)
+    frames = canonical_frames(V)
+    shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
+    rng = np.random.default_rng(70 + rank)
+    delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    T = reconstruct(V, 0.6 * delta / np.linalg.norm(delta, 2))
+    calls = spy_decompositions(monkeypatch)
+    char_fn(T)
+    popescu_char(T)
+    cnc_rank(T)
+    callers = [caller for _, _, caller in calls]
+    assert callers.count("__post_init__") <= 2
+    assert {c for name, _, c in calls if name == "psd_sqrt"} == {"_moebius_defects"}
+    assert not any(
+        decomposes_row(A, T)
+        for name, A, c in calls
+        if name != "psd_sqrt" and c not in ("__post_init__", "psd_sqrt")
+    )
 
 
 def test_frostman_values_reuse_hoisted_defects(monkeypatch):

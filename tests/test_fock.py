@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_contraction
+from conftest import decomposes_row, random_contraction, spy_decompositions
 from dense_fock import mult_operator, shifts, transpose_unitary
 from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
 from ncdbr.fock import (
@@ -354,20 +354,14 @@ def test_model_verify_rejects_non_cnc():
 
 @pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2)])
 def test_model_verify_roots_one_defect(monkeypatch, d, m):
-    # the CNC check and the model space share one D_T*, and the md x md
-    # D_T, which model_verify never reads, is not rooted
-    calls = []
-
-    def counted(A, tol=DEFAULT_TOL):
-        calls.append(A.shape)
-        return psd_sqrt(A, tol)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ncdbr") and getattr(module, "psd_sqrt", None) is psd_sqrt:
-            monkeypatch.setattr(module, "psd_sqrt", counted)
+    # the CNC check and the model space share one D_T*, read off the SVD
+    # that T took when it was built: nothing is rooted, no eigh runs, and
+    # T's row is not decomposed again
     T = random_contraction(40 + d, d, m, norm=0.8)
+    calls = spy_decompositions(monkeypatch)
     rep = model_verify(T, 3)
-    assert calls == [(m, m)]
+    assert [c for c in calls if c[0] in ("psd_sqrt", "eigh")] == []
+    assert not any(decomposes_row(A, T) for _, A, _ in calls)
     monkeypatch.undo()
     assert rep == model_verify(T, 3)
 

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_contraction, random_partial_isometry
-from ncdbr.errors import DimensionMismatch, NotFinite, NotPartialIsometry, NotPure
+from ncdbr.errors import (
+    DimensionMismatch,
+    NcdbrError,
+    NotContraction,
+    NotFinite,
+    NotPartialIsometry,
+    NotPure,
+)
+from ncdbr.fock import TruncatedFock, dbr_space
+from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, pinv, psd_sqrt
 from ncdbr.rowcontraction import (
     RowContraction,
     canonical_frames,
@@ -182,3 +193,112 @@ def test_julia_matrix_unitary():
         M = julia_matrix(T).block_matrix()
         assert np.linalg.norm(M @ M.conj().T - np.eye(M.shape[0]), 2) < 1e-9
         assert np.linalg.norm(M.conj().T @ M - np.eye(M.shape[1]), 2) < 1e-9
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def _from_row(row, d):
+    m = row.shape[0]
+    return RowContraction(tuple(row[:, j * m : (j + 1) * m] for j in range(d)))
+
+
+def _sample(kind, d, m, seed):
+    """A row contraction of the given kind: zero, unitary (d = 1),
+    coisometric, strict, or a reconstruct(V, delta) mix with rank V = 0..m
+    and ||delta|| <= 0.9."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return _from_row(np.zeros((m, m * d)), d)
+    if kind == "unitary":
+        return RowContraction((_unitary(rng, m),))
+    if kind == "coisometric":
+        return _from_row(_unitary(rng, m * d)[:m], d)
+    if kind == "strict":
+        return random_contraction(seed, d, m, norm=rng.uniform(0.0, 0.99))
+    V = random_partial_isometry(seed, d, m, seed % (m + 1))
+    frames = canonical_frames(V)
+    shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
+    delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if delta.size:
+        delta *= rng.uniform(0.0, 0.9) / np.linalg.norm(delta, 2)
+    return reconstruct(V, delta)
+
+
+KINDS = st.sampled_from(["zero", "unitary", "coisometric", "strict", "mix"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(1, 3), st.integers(1, 5), st.integers(0, 10_000))
+def test_defects_match_psd_sqrt_oracle(kind, d, m, seed):
+    # psd_sqrt of the defect matrices is the reference for the roots read
+    # off the row's SVD
+    T = _sample(kind, d, m, seed)
+    R = T.row()
+    D_T, D_Tstar = defects(T)
+    assert np.abs(D_T - psd_sqrt(np.eye(R.shape[1]) - R.conj().T @ R)).max() <= 1e-13
+    assert np.abs(D_Tstar - psd_sqrt(np.eye(R.shape[0]) - R @ R.conj().T)).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(0, 10_000))
+def test_iso_pure_cutoff_is_the_psd_policy(d, m, k, seed):
+    # k singular values with 1 - sigma^2 at half the cutoff are isometric;
+    # at twice the cutoff, T is pure
+    k = min(k, m)
+    rng = np.random.default_rng(seed)
+    U, W = _unitary(rng, m), _unitary(rng, m * d)
+    rest = rng.uniform(0.0, 0.5, m - k)
+    for gap, rank in ((DEFAULT_TOL.rank_rel / 2, k), (2 * DEFAULT_TOL.rank_rel, 0)):
+        sigma = np.concatenate([np.full(k, np.sqrt(1.0 - gap)), rest])
+        T = _from_row((U * sigma) @ W[:, :m].conj().T, d)
+        parts = iso_pure_decompose(T)
+        frames = canonical_frames(parts.V)
+        assert frames.gamma0.shape == (m, m - rank)
+        assert frames.gammaInf.shape == (m * d, m * d - rank)
+        if rank == 0:
+            assert np.array_equal(parts.C.row(), T.row())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 5), st.integers(0, 10_000))
+def test_canonical_frames_sizes_from_one_rank(d, m, rank, seed):
+    rank = min(rank, m)
+    V = random_partial_isometry(seed, d, m, rank)
+    frames = canonical_frames(V)
+    g0, gi = frames.gamma0, frames.gammaInf
+    assert g0.shape == (m, m - rank) and gi.shape == (m * d, m * d - rank)
+    assert np.linalg.norm(g0.conj().T @ g0 - np.eye(m - rank)) < 1e-12
+    assert np.linalg.norm(gi.conj().T @ gi - np.eye(m * d - rank)) < 1e-12
+    assert np.linalg.norm(g0.conj().T @ V.row()) < 1e-12
+    assert np.linalg.norm(V.row() @ gi) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_empty_contraction_constructs(d):
+    T = RowContraction((np.zeros((0, 0)),) * d)
+    assert T.m == 0 and T.row_svd[1].shape == (0,)
+    assert [D.shape for D in defects(T)] == [(0, 0), (0, 0)]
+    frames = canonical_frames(iso_pure_decompose(T).V)
+    assert frames.gamma0.shape == frames.gammaInf.shape == (0, 0)
+
+
+def test_typed_errors_for_non_contractions_and_non_finite_input():
+    for error in (NotContraction, NotFinite):
+        assert issubclass(error, NcdbrError) and issubclass(error, ValueError)
+    with pytest.raises(NotContraction):
+        RowContraction((np.eye(2) * 1.5,))
+    with pytest.raises(NotContraction):
+        RowContraction((np.eye(2) * 0.8, np.eye(2) * 0.8))
+    f = TruncatedFock(d=1, N=2, coeff_dim=1)
+    with pytest.raises(NotContraction):
+        dbr_space((1.0 + 2e-8) * np.eye(f.total_dim), f)
+    bad = np.eye(2, dtype=complex)
+    for value in (np.nan, np.inf):
+        bad[1, 0] = value
+        for fn in (psd_sqrt, orthonormal_range, pinv):
+            with pytest.raises(NotFinite):
+                fn(bad)
+        with pytest.raises(NotFinite):
+            dbr_space(np.vstack([bad, bad[:1]]), f)
