@@ -33,12 +33,7 @@ from .ncspace import (
 from .numerics import DEFAULT_TOL, _ill_condition, _svd_rank, orthonormal_range, pinv
 from .numerics import psd_sqrt
 from .realization import Colligation, transfer_eval
-from .rowcontraction import (
-    _frames_defect_point,
-    canonical_frames,
-    iso_pure_decompose,
-    julia_matrix,
-)
+from .rowcontraction import canonical_frames, iso_pure_decompose, julia_matrix
 
 __all__ = [
     "SchurSampler",
@@ -96,7 +91,17 @@ def model_gamma(V, Z, tol=DEFAULT_TOL):
     return np.linalg.solve(pencil, coeff_lift(frames.gamma0, Z.n))
 
 
-def _transfer_sampler(c, tol, tag):
+def _julia_compression(julia, F_in, F_out, tol, tag):
+    """The one builder of the characteristic functions: the transfer
+    sampler of the Julia colligation [[T*, D_T], [D_Tstar, -T]] compressed
+    to an input frame F_in and an output frame F_out, that is of the
+    colligation (A_j = T_j^*, B_j F_in, F_out* C, F_out* D F_in)."""
+    c = Colligation(
+        A=julia.A,
+        B=tuple(Bj @ F_in for Bj in julia.B),
+        C=F_out.conj().T @ julia.C,
+        D=F_out.conj().T @ julia.D @ F_in,
+    )
     return SchurSampler(
         d=c.d,
         input_dim=c.input_dim,
@@ -107,82 +112,46 @@ def _transfer_sampler(c, tol, tag):
 
 
 def char_fn_partial_isometry(V, tol=DEFAULT_TOL):
-    """Characteristic function B_V of a row partial isometry.
-
-    The transfer function gamma0* [I - Z V^*]^{-1} [I (x) Z] gammaInf of
-    the colligation (A_j = V_j^*, B_j = the j-th block of gammaInf,
-    C = gamma0*, D = 0), amplified to the level of Z: char_fn's
-    realization at T = V and delta = 0, where D_delta and D_delta* are
-    exact identities.  The paper's denominator
-    gamma0* [I - Z V^*]^{-1} gamma0 is the identity, since V_j^* gamma0 = 0
-    for every j.  Satisfies B_V(0) = 0.
+    """Characteristic function B_V of a row partial isometry: char_fn at
+    T = V, where delta = 0, so that the compressed colligation is
+    (A_j = V_j^*, B_j = the j-th block of gammaInf, C = gamma0*, D = 0) up
+    to round-off.  The paper's denominator gamma0* [I - Z V^*]^{-1} gamma0
+    is the identity, since V_j^* gamma0 = 0 for every j.  Satisfies
+    B_V(0) = 0.
     """
     frames = canonical_frames(V, tol)
-    delta = np.zeros((frames.gamma0.shape[1], frames.gammaInf.shape[1]))
-    return _frames_char_fn(V, frames, delta, tol)
-
-
-def _frames_char_fn(T, frames, delta, tol):
-    """The one builder of B_T and B_V: the transfer sampler
-    of the colligation (A_j = T_j^*, B_j = gammaInf_j D_delta,
-    C = D_delta* gamma0*, D = delta), for the canonical frames of T's
-    isometric part and T's defect point delta.  The node is unitary and
-    its column [A_1; ...; A_d] has norm ||T||_row <= 1."""
-    _, D_delta, D_delta_star = _moebius_defects(-delta, tol)
-    m = T.m
-    g_inf = frames.gammaInf
-    colligation = Colligation(
-        A=tuple(Tj.conj().T for Tj in T.ops),
-        B=tuple(g_inf[j * m : (j + 1) * m, :] @ D_delta for j in range(T.d)),
-        C=D_delta_star @ frames.gamma0.conj().T,
-        D=delta,
-    )
-    return _transfer_sampler(colligation, tol, "char_fn")
+    return _julia_compression(julia_matrix(V, tol), frames.gammaInf, frames.gamma0, tol, "char_fn")
 
 
 def char_fn(T, tol=DEFAULT_TOL):
-    """Characteristic function B_T of a row contraction.
+    """Characteristic function B_T of a row contraction: the Moebius map of
+    B_V at minus the defect point delta, realized as T's Julia colligation
+    compressed to the canonical frames gammaInf (input) and gamma0 (output)
+    of T's isometric part V.  One pencil solve per value.
 
-    The operator-Moebius map of B_V at minus the defect point,
-    B_T(Z) = D_{delta*} (I + B_V(Z) delta*)^{-1} (B_V(Z) + delta)
-    D_delta^{-1}, realized on the NC resolvent of T itself:
-    B_T(Z) = delta + D_{delta*} gamma0* [I - Z T^*]^{-1} [I (x) Z]
-    gammaInf D_delta, the transfer function of the unitary colligation
-    (A_j = T_j^*, B_j = gammaInf_j D_delta, C = D_{delta*} gamma0*,
-    D = delta), amplified per level.  One pencil solve per value.
-
-    Derivation: the Moebius map in moebius's inverse-free form is
-    delta + D_{delta*} (I + B_V delta*)^{-1} B_V D_delta.  With
-    B_V = gamma0* R_V K, R_V = [I - Z V^*]^{-1} and K = [I (x) Z] gammaInf,
-    push-through gives (I + B_V delta*)^{-1} B_V
-    = gamma0* [R_V^{-1} + K delta* gamma0*]^{-1} K, and
-    R_V^{-1} + K delta* gamma0* = I - Z T^*, because
-    T_j^* = V_j^* - gammaInf_j delta* gamma0* by T = V - gamma0 delta
-    gammaInf*.  Satisfies B_T(0) = delta.
+    Derivation: in moebius's inverse-free form the map is
+    delta + D_{delta*} (I + B_V delta*)^{-1} B_V D_delta, and push-through
+    with T_j^* = V_j^* - gammaInf_j delta* gamma0* turns it into
+    delta + D_{delta*} gamma0* [I - Z T^*]^{-1} [I (x) Z] gammaInf D_delta.
+    As V gammaInf = 0 and V* gamma0 = 0, T gammaInf = -gamma0 delta and
+    T* gamma0 = -gammaInf delta*, so D_T gammaInf = gammaInf D_delta and
+    gamma0* D_T* = D_{delta*} gamma0*.  Satisfies B_T(0) = delta.
     """
-    V = iso_pure_decompose(T, tol).V
-    frames = canonical_frames(V, tol)
-    return _frames_char_fn(T, frames, _frames_defect_point(T, frames), tol)
+    frames = canonical_frames(iso_pure_decompose(T, tol).V, tol)
+    return _julia_compression(julia_matrix(T, tol), frames.gammaInf, frames.gamma0, tol, "char_fn")
 
 
 def popescu_char(T, tol=DEFAULT_TOL):
     """Sz.-Nagy--Foias--Popescu characteristic function Theta_T.
 
     Theta_T(Z) = (-T + D_{T*} [I - Z T^*]^{-1} [I (x) Z] D_T) compressed to
-    the defect ranges, amplified per level: the transfer function of the
-    Julia colligation with input maps B_j F_in, output map F_out* C and
-    feedthrough F_out* D F_in.
+    the defect ranges, amplified per level: T's Julia colligation
+    compressed to orthonormal frames of Ran D_T and Ran D_T*.
     """
     julia = julia_matrix(T, tol)
     F_in = orthonormal_range(np.vstack(julia.B), tol)
     F_out = orthonormal_range(julia.C, tol)
-    colligation = Colligation(
-        A=julia.A,
-        B=tuple(Bj @ F_in for Bj in julia.B),
-        C=F_out.conj().T @ julia.C,
-        D=F_out.conj().T @ julia.D @ F_in,
-    )
-    return _transfer_sampler(colligation, tol, "popescu")
+    return _julia_compression(julia, F_in, F_out, tol, "popescu")
 
 
 def _moebius_defects(alpha, tol):

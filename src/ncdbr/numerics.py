@@ -146,7 +146,8 @@ def subspace_stable_basis(frame, tol=DEFAULT_TOL):
     under entry-level perturbations; a column-pivoted Gram-Schmidt of the
     orthogonal projector varies continuously with the subspace instead,
     which makes downstream frame-dependent quantities reproducible.  Each
-    step takes the column of largest residual norm, the first on ties.
+    step takes the first column whose residual norm is within a relative
+    rank_rel of the largest, so that round-off cannot break exact ties.
     """
     frame = _as_complex(frame)
     r = frame.shape[1]
@@ -155,7 +156,8 @@ def subspace_stable_basis(frame, tol=DEFAULT_TOL):
     residual = frame @ frame.conj().T
     Q = np.zeros_like(frame)
     for k in range(r):
-        j = int(np.argmax(np.linalg.norm(residual, axis=0)))
+        norms = np.linalg.norm(residual, axis=0)
+        j = int(np.argmax(norms >= (1.0 - tol.rank_rel) * norms.max()))
         Q[:, k] = residual[:, j] / np.linalg.norm(residual[:, j])
         residual -= np.outer(Q[:, k], Q[:, k].conj() @ residual)
     return _fix_column_phases(Q, tol)

@@ -5,7 +5,8 @@ function B(X) = I_n (x) D + I_n (x) C L_A(X)^{-1} X (x) B with
 L_A(X) = I - sum_j X_j (x) A_j, all in the fixed tensor layout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +29,12 @@ _RHO_ROUNDING = 4096 * np.finfo(float).eps
 @dataclass(frozen=True)
 class Colligation:
     """State-space node: A is a d-list of state maps, B a d-list of
-    input-to-state maps, C the state-to-output map, D the feedthrough.
-    A_norm, the norm of the column [A_1; ...; A_d], is computed once."""
+    input-to-state maps, C the state-to-output map, D the feedthrough."""
 
     A: tuple
     B: tuple
     C: np.ndarray
     D: np.ndarray
-    A_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = tuple(np.asarray(a, dtype=complex) for a in self.A)
@@ -57,11 +56,16 @@ class Colligation:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "A_norm", float(np.linalg.norm(np.vstack(A), 2)) if s else 0.0)
 
     @property
     def d(self):
         return len(self.A)
+
+    @cached_property
+    def A_norm(self):
+        """Norm of the column [A_1; ...; A_d], computed on first use and
+        kept; the maps must not change in place."""
+        return float(np.linalg.norm(np.vstack(self.A), 2)) if self.state_dim else 0.0
 
     @property
     def state_dim(self):

@@ -11,7 +11,6 @@ from .numerics import (
     DEFAULT_TOL,
     _psd_eigenvalues,
     _psd_root,
-    _svd_rank,
     orthonormal_range,
     stabilized_span,
     subspace_stable_basis,
@@ -154,7 +153,10 @@ def canonical_frames(V, tol=DEFAULT_TOL):
     right singular vectors of V's row past its one rank decision."""
     _check_partial_isometry(V, tol)
     U, s, Wh = V.row_svd
-    r = _svd_rank(s, tol)
+    # the check bounds sigma^2 |1 - sigma^2| by 100 eq_abs < 0.1, so each
+    # sigma^2 sits near 0 or near 1 and the rank counts sigma^2 > 1/2; a
+    # cutoff relative to sigma_max would count a V of tiny norm as full rank
+    r = int(np.count_nonzero(s**2 > 0.5))
     # stabilize the kernel bases so the frames depend only on the
     # subspaces, not on perturbations at machine precision
     gamma0 = subspace_stable_basis(U[:, r:], tol)
@@ -164,12 +166,7 @@ def canonical_frames(V, tol=DEFAULT_TOL):
 
 def defect_point(T, tol=DEFAULT_TOL):
     """The pure contraction -gamma0* T gammaInf against V's canonical frames."""
-    return _frames_defect_point(T, canonical_frames(iso_pure_decompose(T, tol).V, tol))
-
-
-def _frames_defect_point(T, frames):
-    """-gamma0* T gammaInf for canonical frames already built from T's
-    isometric part."""
+    frames = canonical_frames(iso_pure_decompose(T, tol).V, tol)
     return -frames.gamma0.conj().T @ T.row() @ frames.gammaInf
 
 

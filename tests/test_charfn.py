@@ -40,13 +40,14 @@ from ncdbr.ncspace import (
     row_norm,
     sample_ball_point,
 )
-from ncdbr.numerics import DEFAULT_TOL, _svd_rank
+from ncdbr.numerics import DEFAULT_TOL, _svd_rank, orthonormal_range
 from ncdbr.realization import transfer_eval
 from ncdbr.rowcontraction import (
     RowContraction,
     canonical_frames,
     cnc_rank,
     defect_point,
+    defects,
     iso_pure_decompose,
     reconstruct,
 )
@@ -883,9 +884,8 @@ def test_char_fn_builds_canonical_frames_once(monkeypatch):
 def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
     # char_fn, popescu_char and cnc_rank read T's defects, split and frames
     # off the SVD that T took when it was built.  The parts V and C take
-    # their own SVD when they are built, and psd_sqrt roots only delta's
-    # defects, in _moebius_defects; nothing else decomposes T's row, its
-    # Grams or its defects.
+    # their own SVD when they are built; nothing is rooted by psd_sqrt or
+    # eigh, and nothing else decomposes T's row, its Grams or its defects.
     V = random_partial_isometry(70 + rank, 2, 3, rank)
     frames = canonical_frames(V)
     shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
@@ -898,12 +898,8 @@ def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
     cnc_rank(T)
     callers = [caller for _, _, caller in calls]
     assert callers.count("__post_init__") <= 2
-    assert {c for name, _, c in calls if name == "psd_sqrt"} == {"_moebius_defects"}
-    assert not any(
-        decomposes_row(A, T)
-        for name, A, c in calls
-        if name != "psd_sqrt" and c not in ("__post_init__", "psd_sqrt")
-    )
+    assert not [name for name, _, _ in calls if name in ("psd_sqrt", "eigh")]
+    assert not any(decomposes_row(A, T) for _, A, c in calls if c != "__post_init__")
 
 
 def test_frostman_values_reuse_hoisted_defects(monkeypatch):
@@ -1125,3 +1121,39 @@ def test_char_fn_jordan_mix_closed_form(k):
     for z in (0.0, 0.3, -0.5, 0.2 + 0.4j, 0.9j, -0.95):
         want = (z * z + delta) / (1.0 + delta * z * z)
         assert abs(B(scalar_point(z))[0, 0] - want) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rank", [None, 0, 1, 2, 3])
+def test_popescu_char_is_char_fn_between_frames(d, rank):
+    # both are T's Julia colligation compressed to a pair of defect frames:
+    # Theta_T(Z) = (F_out* gamma0 (x) I) B_T(Z) (gammaInf* F_in (x) I), and
+    # Ran gammaInf = Ran D_T, Ran gamma0 = Ran D_T*, so both constants are
+    # unitary; rank None is a strict T
+    m = 3
+    for seed in range(3):
+        if rank is None:
+            T = random_contraction(800 + 10 * d + seed, d, m, norm=0.99)
+        else:
+            V = random_partial_isometry(800 + 10 * d + seed, d, m, rank)
+            rng = np.random.default_rng(900 + 10 * d + seed)
+            shape = (m - rank, m * d - rank)
+            delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if delta.size:
+                delta *= 0.99 * rng.uniform() / np.linalg.norm(delta, 2)
+            T = reconstruct(V, delta)
+        frames = canonical_frames(iso_pure_decompose(T).V)
+        D_T, D_Tstar = defects(T)
+        U_out = orthonormal_range(D_Tstar).conj().T @ frames.gamma0
+        U_in = frames.gammaInf.conj().T @ orthonormal_range(D_T)
+        for U in (U_out, U_in):
+            if U.size:
+                assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1]), 2) <= 1e-13
+                assert np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0]), 2) <= 1e-13
+        B, P = char_fn(T), popescu_char(T)
+        for n in (1, 2, 3, 4):
+            Z = sample_ball_point(d, n, 0.7, 50 * seed + n)
+            want = coeff_lift(U_out, n) @ B(Z) @ coeff_lift(U_in, n)
+            assert P(Z).shape == want.shape
+            if want.size:
+                assert np.abs(P(Z) - want).max() <= 1e-13

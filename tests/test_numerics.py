@@ -132,6 +132,14 @@ def test_subspace_stable_basis_perturbation_stable(rng):
     assert np.linalg.norm(B1.conj().T @ B1 - np.eye(3)) < 1e-12
 
 
+def test_subspace_stable_basis_of_everything_is_identity(rng):
+    # the projector of a unitary frame is I up to round-off, so every step
+    # is an exact tie that the first column must win
+    for _ in range(200):
+        Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        assert np.linalg.norm(subspace_stable_basis(Q) - np.eye(4), 2) <= 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
 def test_psd_sqrt_property(seed, n):

@@ -42,6 +42,15 @@ def test_colligation_validation():
     assert c.block_matrix().shape == (2 * 3 + 2, 3 + 2)
 
 
+def test_colligation_norm_computed_on_first_use():
+    # the column [T_1*; ...; T_d*] of the Julia colligation has T's row norm
+    T = random_contraction(3, 2, 3, norm=0.8)
+    c = julia_matrix(T)
+    assert "A_norm" not in vars(c)
+    assert abs(c.A_norm - 0.8) <= 1e-14
+    assert vars(c)["A_norm"] == c.A_norm
+
+
 def test_transfer_matches_taylor_on_nilpotent_point():
     # strictly upper-triangular coordinates are jointly nilpotent, so the
     # Taylor series terminates and reassembly is exact

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_contraction, random_partial_isometry
+from ncdbr.charfn import char_fn_partial_isometry
 from ncdbr.errors import (
     DimensionMismatch,
     NcdbrError,
@@ -302,3 +303,32 @@ def test_typed_errors_for_non_contractions_and_non_finite_input():
                 fn(bad)
         with pytest.raises(NotFinite):
             dbr_space(np.vstack([bad, bad[:1]]), f)
+
+
+def test_canonical_frames_rank_is_absolute():
+    # sigma^2 of 9e-10 and 1e-10 pass the partial-isometry check, so they
+    # count as zero singular values, not as rank relative to sigma_max
+    frames = canonical_frames(RowContraction((np.diag([1.0, 3e-5]),)))
+    assert frames.gamma0.shape == frames.gammaInf.shape == (2, 1)
+    rng = np.random.default_rng(31)
+    X = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    tiny = RowContraction((1e-5 * X,))
+    frames = canonical_frames(tiny)
+    assert frames.gamma0.shape == frames.gammaInf.shape == (2, 2)
+    assert char_fn_partial_isometry(tiny).at_zero().shape == (2, 2)
+
+
+def test_canonical_frames_keep_ties_under_round_off():
+    # V = [J, 0] has Ker V = span(e1, e3, e4): the projector's columns tie
+    # exactly, and a conjugation by a unitary within 1e-13 of I must move
+    # gammaInf by round-off only, not permute it
+    J = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    V = RowContraction((J, np.zeros((2, 2))))
+    want = canonical_frames(V).gammaInf
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        w, Q = np.linalg.eigh(H + H.conj().T)
+        U = (Q * np.exp(1e-13j * w)) @ Q.conj().T
+        conjugated = RowContraction(tuple(U @ Vj @ U.conj().T for Vj in V.ops))
+        assert np.linalg.norm(canonical_frames(conjugated).gammaInf - want, 2) <= 1e-10
