@@ -32,8 +32,8 @@ from .ncspace import (
 )
 from .numerics import DEFAULT_TOL, _ill_condition, _svd_rank, orthonormal_range, pinv
 from .numerics import psd_sqrt
-from .realization import Colligation, transfer_eval
-from .rowcontraction import canonical_frames, iso_pure_decompose, julia_matrix
+from .realization import Colligation, transfer_eval, transfer_values
+from .rowcontraction import _isometric_part, canonical_frames, julia_matrix
 
 __all__ = [
     "SchurSampler",
@@ -55,19 +55,27 @@ __all__ = [
 @dataclass(frozen=True)
 class SchurSampler:
     """Evaluatable operator-valued function on the row-ball; a point with
-    row norm >= 1 raises OutsideBall before the evaluator runs."""
+    row norm >= 1 raises OutsideBall before the evaluator runs.
+
+    A realized sampler carries its colligation as the pair (c, tol) whose
+    transfer_eval(c, Z, tol) the evaluator returns; a literal one carries
+    None."""
 
     d: int
     input_dim: int
     output_dim: int
     evaluator: Callable
     tag: str = "literal"
+    colligation: tuple = None
 
-    def __call__(self, Z):
+    def _check(self, Z):
         if Z.d != self.d:
             raise DimensionMismatch("point has d=%d, sampler expects %d" % (Z.d, self.d))
         if row_norm(Z) >= 1.0:
             raise OutsideBall("point has row norm %.6g >= 1" % row_norm(Z))
+
+    def __call__(self, Z):
+        self._check(Z)
         value = np.asarray(self.evaluator(Z), dtype=complex)
         expected = (self.output_dim * Z.n, self.input_dim * Z.n)
         if value.shape != expected:
@@ -75,6 +83,18 @@ class SchurSampler:
                 "evaluator returned %s, expected %s" % (value.shape, expected)
             )
         return value
+
+    def values(self, points):
+        """The values at the points, in point order, after every point is
+        checked: a realized sampler takes one stacked solve per level
+        (transfer_values), a literal one one evaluator call per point."""
+        points = list(points)
+        for Z in points:
+            self._check(Z)
+        if self.colligation is None:
+            return [self(Z) for Z in points]
+        c, tol = self.colligation
+        return transfer_values(c, points, tol)
 
     def at_zero(self):
         """The coefficient-space value B(0) as an output_dim x input_dim matrix."""
@@ -108,6 +128,7 @@ def _julia_compression(julia, F_in, F_out, tol, tag):
         output_dim=c.output_dim,
         evaluator=lambda Z: transfer_eval(c, Z, tol),
         tag=tag,
+        colligation=(c, tol),
     )
 
 
@@ -116,8 +137,10 @@ def char_fn_partial_isometry(V, tol=DEFAULT_TOL):
     T = V, where delta = 0, so that the compressed colligation is
     (A_j = V_j^*, B_j = the j-th block of gammaInf, C = gamma0*, D = 0) up
     to round-off.  The paper's denominator gamma0* [I - Z V^*]^{-1} gamma0
-    is the identity, since V_j^* gamma0 = 0 for every j.  Satisfies
-    B_V(0) = 0.
+    is the identity, since V_j^* gamma0 = 0 for every j.  B_V(0) is the
+    feedthrough -gamma0* V gammaInf: 0 for an exact partial isometry, but
+    the partial-isometry check lets singular values of about 1e-4 pass as
+    zeros, so it can reach about 1e-5 (V = 1e-5 X for a unitary X).
     """
     frames = canonical_frames(V, tol)
     return _julia_compression(julia_matrix(V, tol), frames.gammaInf, frames.gamma0, tol, "char_fn")
@@ -137,7 +160,7 @@ def char_fn(T, tol=DEFAULT_TOL):
     T* gamma0 = -gammaInf delta*, so D_T gammaInf = gammaInf D_delta and
     gamma0* D_T* = D_{delta*} gamma0*.  Satisfies B_T(0) = delta.
     """
-    frames = canonical_frames(iso_pure_decompose(T, tol).V, tol)
+    frames = canonical_frames(_isometric_part(T, tol), tol)
     return _julia_compression(julia_matrix(T, tol), frames.gammaInf, frames.gamma0, tol, "char_fn")
 
 
@@ -268,11 +291,14 @@ def support_frames(B, sample_points, tol=DEFAULT_TOL):
 
 
 def _block_stack(B, points):
-    """Every coefficient block of B's values at the points, one evaluation
-    per point, as one (sum of n^2, output_dim, input_dim) stack."""
+    """Every coefficient block of B's values at the points, taken by one
+    B.values call, as one (sum of n^2, output_dim, input_dim) stack."""
     o, i = B.output_dim, B.input_dim
     return np.concatenate(
-        [B(Z).reshape(Z.n, o, Z.n, i).transpose(0, 2, 1, 3).reshape(Z.n**2, o, i) for Z in points]
+        [
+            value.reshape(Z.n, o, Z.n, i).transpose(0, 2, 1, 3).reshape(Z.n**2, o, i)
+            for Z, value in zip(points, B.values(points))
+        ]
     )
 
 
@@ -421,8 +447,9 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     polar factors are unitary intertwiners.  The residual is the worst
     holdout mismatch and the verdict compares it to tol.
     """
-    # each sampler is evaluated once per point: at Z = 0 and the fit points
-    # here, for the supports and the constraint blocks alike
+    # each sampler is evaluated once per point, by one values call: at
+    # Z = 0 and the fit points here, for the supports and the constraint
+    # blocks alike
     points = [zero_tuple(B1.d, 1)] + list(fit_points)
     S1 = _block_stack(B1, points)
     S2 = _block_stack(B2, points)
@@ -442,9 +469,10 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     U_out = _polar_unitary(vec[: p * p].reshape(p, p))
     U_in = _polar_unitary(vec[p * p :].reshape(q, q))
     residual = 0.0
-    for Z in holdout_points:
-        lhs = coeff_lift(U_out, Z.n) @ _compress(B1(Z), s1_in, s1_out, Z.n)
-        rhs = _compress(B2(Z), s2_in, s2_out, Z.n) @ coeff_lift(U_in, Z.n)
+    hold = list(holdout_points)
+    for Z, value1, value2 in zip(hold, B1.values(hold), B2.values(hold)):
+        lhs = coeff_lift(U_out, Z.n) @ _compress(value1, s1_in, s1_out, Z.n)
+        rhs = _compress(value2, s2_in, s2_out, Z.n) @ coeff_lift(U_in, Z.n)
         if lhs.size:
             residual = max(residual, float(np.linalg.norm(lhs - rhs, 2)))
     return U_out, U_in, residual, bool(residual <= tol)

@@ -148,11 +148,15 @@ def subspace_stable_basis(frame, tol=DEFAULT_TOL):
     which makes downstream frame-dependent quantities reproducible.  Each
     step takes the first column whose residual norm is within a relative
     rank_rel of the largest, so that round-off cannot break exact ties.
+    An r x r frame spans its whole space and gets the identity, which the
+    loop returns too where the projector is exactly I.
     """
     frame = _as_complex(frame)
     r = frame.shape[1]
     if r == 0:
         return frame
+    if frame.shape[0] == r:
+        return np.eye(r, dtype=complex)
     residual = frame @ frame.conj().T
     Q = np.zeros_like(frame)
     for k in range(r):

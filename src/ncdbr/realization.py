@@ -11,12 +11,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, SingularPencil
-from .ncspace import FreeWord, coeff_lift, point_block
+from .ncspace import FreeWord, _kron_sum, coeff_lift, point_block
 from .numerics import DEFAULT_TOL, _ill_condition, stabilized_span
 
 __all__ = [
     "Colligation",
     "transfer_eval",
+    "transfer_values",
     "taylor_coeff",
     "is_coisometric",
     "is_observable",
@@ -86,23 +87,53 @@ class Colligation:
         return np.vstack([top, bottom])
 
 
+def _check_pencil(pencil, rho, tol):
+    """Raise SingularPencil on a pencil I - sum X_j (x) A_j too ill
+    conditioned to solve.  ||sum X_j (x) A_j|| <= rho = ||X||_row ||A||_col,
+    so the pencil's condition is at most (1 + rho) / (1 - rho); the SVD
+    check runs only where that bound, with a margin for the rounding of
+    rho, cannot rule out sigma_min <= rank_rel * sigma_max."""
+    if 1.0 - rho <= tol.rank_rel * (1.0 + rho) + _RHO_ROUNDING:
+        cond = _ill_condition(pencil, tol)
+        if cond is not None:
+            raise SingularPencil("pencil condition %.3e" % cond)
+
+
 def transfer_eval(c, X, tol=DEFAULT_TOL):
     """Evaluate the transfer function of the colligation at a tuple X."""
     if X.d != c.d:
         raise DimensionMismatch("tuple and colligation disagree on d")
     n = X.n
     pencil = np.eye(c.state_dim * n) - point_block(X, c.A)
-    # ||sum X_j (x) A_j|| <= rho = ||X||_row ||A||_col, so the pencil's
-    # condition is at most (1 + rho) / (1 - rho); the SVD check runs only
-    # where that bound, with a margin for the rounding of rho, cannot rule
-    # out sigma_min <= rank_rel * sigma_max
-    rho = X.row_norm * c.A_norm
-    if 1.0 - rho <= tol.rank_rel * (1.0 + rho) + _RHO_ROUNDING:
-        cond = _ill_condition(pencil, tol)
-        if cond is not None:
-            raise SingularPencil("pencil condition %.3e" % cond)
+    _check_pencil(pencil, X.row_norm * c.A_norm, tol)
     rhs = point_block(X, c.B)
     return coeff_lift(c.D, n) + coeff_lift(c.C, n) @ np.linalg.solve(pencil, rhs)
+
+
+def transfer_values(c, points, tol=DEFAULT_TOL):
+    """transfer_eval at each of the points, in point order, with one stacked
+    solve per level.  The k same-level pencils and right-hand sides come
+    from one _kron_sum on the coordinates stacked vertically, since
+    kron([Z^1; Z^2], A) = [kron(Z^1, A); kron(Z^2, A)]; each pencil is
+    checked as in transfer_eval, and C and D are lifted once per level."""
+    points = list(points)
+    levels = {}
+    for i, X in enumerate(points):
+        if X.d != c.d:
+            raise DimensionMismatch("tuple and colligation disagree on d")
+        levels.setdefault(X.n, []).append(i)
+    values = [None] * len(points)
+    s = c.state_dim
+    for n, idx in levels.items():
+        coords = [np.vstack([points[i].coords[j] for i in idx]) for j in range(c.d)]
+        pencils = np.eye(s * n) - _kron_sum(coords, c.A).reshape(len(idx), s * n, s * n)
+        for i, pencil in zip(idx, pencils):
+            _check_pencil(pencil, points[i].row_norm * c.A_norm, tol)
+        rhs = _kron_sum(coords, c.B).reshape(len(idx), s * n, c.input_dim * n)
+        stack = coeff_lift(c.D, n) + coeff_lift(c.C, n) @ np.linalg.solve(pencils, rhs)
+        for i, value in zip(idx, stack):
+            values[i] = value
+    return values
 
 
 def taylor_coeff(c, w):

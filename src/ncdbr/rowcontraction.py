@@ -111,17 +111,20 @@ def defects(T, tol=DEFAULT_TOL):
     return _psd_root(w, Wh.conj().T, tol), _psd_root(w[: s.size], U, tol)
 
 
-def iso_pure_decompose(T, tol=DEFAULT_TOL):
-    """Unique split T = V + C with V a row partial isometry and C pure.
-
-    V is T compressed to the kernel of D_T, where T acts isometrically:
-    the right singular vectors whose 1 - sigma^2 the PSD policy zeroes.
-    """
+def _isometric_part(T, tol):
+    """The row partial isometry V of T = V + C: T compressed to the kernel
+    of D_T, where T acts isometrically, that is to the right singular
+    vectors whose 1 - sigma^2 the PSD policy zeroes."""
     _, s, Wh = T.row_svd
     ker = Wh[: np.count_nonzero(_psd_eigenvalues(1.0 - s**2, tol) == 0.0)]
-    row = T.row()
-    V_row = row @ ker.conj().T @ ker
-    return IsoPureParts(V=_from_row(V_row, T.d), C=_from_row(row - V_row, T.d))
+    return _from_row(T.row() @ ker.conj().T @ ker, T.d)
+
+
+def iso_pure_decompose(T, tol=DEFAULT_TOL):
+    """Unique split T = V + C with V a row partial isometry and C pure.
+    Builds that need V alone take _isometric_part, and skip C's SVD."""
+    V = _isometric_part(T, tol)
+    return IsoPureParts(V=V, C=_from_row(T.row() - V.row(), T.d))
 
 
 def cnc_rank(T, tol=DEFAULT_TOL):
@@ -166,7 +169,7 @@ def canonical_frames(V, tol=DEFAULT_TOL):
 
 def defect_point(T, tol=DEFAULT_TOL):
     """The pure contraction -gamma0* T gammaInf against V's canonical frames."""
-    frames = canonical_frames(iso_pure_decompose(T, tol).V, tol)
+    frames = canonical_frames(_isometric_part(T, tol), tol)
     return -frames.gamma0.conj().T @ T.row() @ frames.gammaInf
 
 

@@ -39,6 +39,7 @@ from ncdbr.ncspace import (
     point_block,
     row_norm,
     sample_ball_point,
+    zero_tuple,
 )
 from ncdbr.numerics import DEFAULT_TOL, _svd_rank, orthonormal_range
 from ncdbr.realization import transfer_eval
@@ -883,21 +884,23 @@ def test_char_fn_builds_canonical_frames_once(monkeypatch):
 @pytest.mark.parametrize("rank", [0, 1, 2])
 def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
     # char_fn, popescu_char and cnc_rank read T's defects, split and frames
-    # off the SVD that T took when it was built.  The parts V and C take
-    # their own SVD when they are built; nothing is rooted by psd_sqrt or
-    # eigh, and nothing else decomposes T's row, its Grams or its defects.
+    # off the SVD that T took when it was built.  The isometric part V
+    # takes its own SVD when it is built, and the pure part C is not built;
+    # nothing is rooted by psd_sqrt or eigh, and nothing else decomposes
+    # T's row, its Grams or its defects.
     V = random_partial_isometry(70 + rank, 2, 3, rank)
     frames = canonical_frames(V)
     shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
     rng = np.random.default_rng(70 + rank)
     delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     T = reconstruct(V, 0.6 * delta / np.linalg.norm(delta, 2))
+    V_row = iso_pure_decompose(T).V.row()
     calls = spy_decompositions(monkeypatch)
     char_fn(T)
     popescu_char(T)
     cnc_rank(T)
-    callers = [caller for _, _, caller in calls]
-    assert callers.count("__post_init__") <= 2
+    constructed = [A for _, A, caller in calls if caller == "__post_init__"]
+    assert len(constructed) == 1 and np.array_equal(constructed[0], V_row)
     assert not [name for name, _, _ in calls if name in ("psd_sqrt", "eigh")]
     assert not any(decomposes_row(A, T) for _, A, c in calls if c != "__post_init__")
 
@@ -954,6 +957,102 @@ def test_weak_coincidence_evaluates_once_per_point():
     assert ok and res < 1e-8
     # Z = 0, six fit points and four holdout points
     assert calls.count("B1") == calls.count("B2") == 11
+
+
+def _literal(B):
+    """B's evaluator without its colligation: values go point by point."""
+    return SchurSampler(B.d, B.input_dim, B.output_dim, B.evaluator, B.tag)
+
+
+def _counted_solves(monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return solves
+
+
+def test_weak_coincidence_solves_once_per_level(monkeypatch):
+    # realized samplers are evaluated by one stacked solve per level: the
+    # block stack (Z = 0 and fit points) and the holdout points each span
+    # levels 1 and 2, for each of the two samplers
+    T = random_contraction(11, 2, 3)
+    fit = ball_points(2, 6, seed=100)
+    hold = ball_points(2, 4, seed=900)
+    B1, B2 = char_fn(T), popescu_char(T)
+    want = weak_coincidence_fit(_literal(B1), _literal(B2), fit, hold)
+    solves = _counted_solves(monkeypatch)
+    got = weak_coincidence_fit(B1, B2, fit, hold)
+    monkeypatch.undo()
+    assert len(solves) == 8
+    assert want[2:] == got[2:] and want[3]
+    assert all(np.array_equal(a, b) for a, b in zip(want[:2], got[:2]))
+
+
+def _library_samplers(seed, d, m, rank):
+    V = random_partial_isometry(seed, d, m, rank)
+    frames = canonical_frames(V)
+    rng = np.random.default_rng(seed + 1)
+    shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
+    delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if delta.size:
+        delta *= 0.7 / np.linalg.norm(delta, 2)
+    T = reconstruct(V, delta)
+    return char_fn(T), popescu_char(T), char_fn_partial_isometry(V)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_library_samplers_carry_their_colligation(d):
+    # every transfer-function sampler the library builds is realized, and
+    # its colligation, at its tol, gives the evaluator's values
+    Z = sample_ball_point(d, 2, 0.6, 40 + d)
+    for B in _library_samplers(30 + d, d, 3, 1):
+        assert B.tag != "literal" and B.colligation is not None
+        c, tol = B.colligation
+        assert (c.output_dim, c.input_dim) == (B.output_dim, B.input_dim)
+        assert np.array_equal(transfer_eval(c, Z, tol), B(Z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 4),
+    full_rank=st.booleans(),
+    levels=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    zero_at=st.integers(0, 6),
+    seed=st.integers(0, 10_000),
+)
+@example(d=2, m=2, full_rank=False, levels=[1, 2, 1, 4, 3, 2], zero_at=2, seed=0)
+@example(d=1, m=3, full_rank=True, levels=[2, 1], zero_at=0, seed=1)  # p = 0
+@example(d=3, m=2, full_rank=True, levels=[1, 3, 1], zero_at=3, seed=2)
+def test_values_are_bitwise_the_pointwise_values(d, m, full_rank, levels, zero_at, seed):
+    points = [sample_ball_point(d, n, 0.8, seed + k) for k, n in enumerate(levels)]
+    points.insert(zero_at % (len(points) + 1), zero_tuple(d, 1))
+    for B in _library_samplers(seed, d, m, m if full_rank else 0):
+        values = B.values(points)
+        assert len(values) == len(points)
+        for Z, value in zip(points, values):
+            assert np.array_equal(value, B(Z))
+
+
+def test_values_check_every_point_before_any_solve(monkeypatch):
+    T = random_contraction(12, 2, 3)
+    good = ball_points(2, 4, seed=300, levels=(1, 2))
+    outside = sample_ball_point(2, 1, 0.5, 310)
+    outside = MatrixTuple(tuple(2.5 * Zj for Zj in outside.coords))
+    wrong_d = sample_ball_point(3, 1, 0.5, 311)
+    for B in (char_fn(T), popescu_char(T), _literal(char_fn(T))):
+        solves = _counted_solves(monkeypatch)
+        with pytest.raises(OutsideBall):
+            B.values(good + [outside])
+        with pytest.raises(DimensionMismatch):
+            B.values(good + [wrong_d])
+        monkeypatch.undo()
+        assert not solves
 
 
 def _bv_quotient(V, Z):

@@ -19,6 +19,7 @@ from ncdbr.realization import (
     is_observable,
     taylor_coeff,
     transfer_eval,
+    transfer_values,
 )
 from ncdbr.rowcontraction import cnc_rank, defects, julia_matrix
 from ncdbr import popescu_char
@@ -150,6 +151,33 @@ def test_transfer_eval_checks_condition_only_past_norm_bound(monkeypatch, seed):
             if rho >= 1.0:
                 assert checks
     # the aligned pencil is singular to rank_rel at 1 - 1e-11 and at 1
+    assert singular >= 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_transfer_values_raise_singular_pencil_where_transfer_eval_does(d):
+    # the aligned pencil diag(1 - rho, 1 - rho / 2) at the scalar point rho:
+    # a stacked level raises exactly where its point alone does
+    aligned = Colligation(
+        A=(np.diag([1.0, 0.5]),) + (np.zeros((2, 2)),) * (d - 1),
+        B=(np.ones((2, 1)),) * d,
+        C=np.ones((1, 2)),
+        D=np.zeros((1, 1)),
+    )
+    safe = MatrixTuple((np.array([[0.5]]),) + (np.zeros((1, 1)),) * (d - 1))
+    singular = 0
+    for rho in RHOS:
+        X = MatrixTuple((np.array([[rho]]),) + (np.zeros((1, 1)),) * (d - 1))
+        try:
+            want = transfer_eval(aligned, X)
+        except SingularPencil:
+            singular += 1
+            with pytest.raises(SingularPencil):
+                transfer_values(aligned, [safe, X])
+        else:
+            values = transfer_values(aligned, [safe, X])
+            assert np.array_equal(values[1], want)
+            assert np.array_equal(values[0], transfer_eval(aligned, safe))
     assert singular >= 2
 
 
