@@ -23,7 +23,6 @@ from .errors import (
     SingularPencil,
 )
 from .ncspace import (
-    _kron_sum,
     coeff_lift,
     pencil_tz_star,
     row_norm,
@@ -311,91 +310,64 @@ def _stack_supports(S, tol):
     return supp_in, supp_out
 
 
-def _compress(value, supp_in, supp_out, n):
-    return coeff_lift(supp_out, n).conj().T @ value @ coeff_lift(supp_in, n)
-
-
 def _polar_unitary(M):
     W, _, Vh = np.linalg.svd(M)
     return W @ Vh
 
 
-def _constraint_gram(A, C):
-    """Blocks of the Gram L*L of the constraint map
-    L(X, Y) = (X A_k - C_k Y, Y A_k* - C_k* X)_k on the row-major
-    (vec X, vec Y), for stacks A, C of p x q blocks, in closed form:
-    G_XX = I (x) (sum A_k A_k*)^T + (sum C_k C_k*) (x) I,
-    G_YY = (sum C_k* C_k) (x) I + I (x) (sum A_k* A_k)^T and
-    G_XY = -2 sum_k C_k (x) conj(A_k), where the direct and the adjoint
-    relation contribute one cross term each.
+def _coincidence_unitaries(A, C, tol):
+    """Constant unitaries (U_out, U_in) with U_out A_k = C_k U_in for the
+    (k, p, q) block stacks A and C, when any exist, read off the eigenbases
+    of the two output algebras.
 
-    These are the blocks of the partial Schur complement that
-    weak_coincidence_fit takes, and no (p^2 + q^2)- or q^2-square matrix is
-    formed.  With (gamma, Q_C) the eigenpairs of sum C_k* C_k and
-    (delta, Q_A) those of (sum A_k* A_k)^T,
-    G_YY = R diag(gamma_i + delta_j) R* for R = Q_C (x) Q_A, and the cross
-    block enters rotated, as H = G_XY R = -2 sum_k (C_k Q_C) (x) (conj(A_k) Q_A).
-    G_XX's top eigenpair comes from its two p x p factors.  Returns
-    (G_XX, (lambda_max(G_XX), its eigenvector as a p x p X, None if p = 0),
-    gamma, Q_C, delta, Q_A, H)."""
+    Such an X = U_out carries the *-algebra generated by the A_k A_l* onto
+    the one generated by the C_k C_l*: X A_k A_l* X* = C_k C_l*.  So X maps
+    H1 = sum w_k A_k A_k* onto H2 = sum w_k C_k C_k* for fixed-seed weights
+    w_k in [1, 2], and X = V2 U V1* for their eigenbases V1, V2 (ascending)
+    and a U block diagonal over the clusters of H1's spectrum, cut wherever
+    a gap exceeds sqrt(rank_rel) * lambda_max(H1).  U intertwines one
+    fixed-seed complex combination N1 = sum c_kl A_k A_l* and its adjoint
+    with the same combination N2 of the C's, both rotated into the
+    eigenbases: U N1 = N2 U and U N1* = N2* U, in sum k_i^2 unknowns for
+    clusters of sizes k_i, whose null vectors _null_vectors decides.  A
+    solution has U*U N1 = U* N2 U = N1 U*U, and likewise for N1*, so the
+    polar factor of an invertible solution is a unitary one; a fixed-seed
+    complex combination of the null vectors is invertible when any
+    solution is.
+
+    Y = U_in follows from X: X A_k A_l* X* = C_k C_l* makes
+    sum_k A_k* X* u_k -> sum_k C_k* u_k an isometry of the input support,
+    and that isometry is Y.  Then sum_k C_k* X A_k = (sum_k C_k* C_k) Y,
+    whose left factor is positive definite on the input support, so Y is
+    the polar factor of sum_k C_k* X A_k.
+    """
     k, p, q = A.shape
-    A_rows = A.transpose(1, 0, 2).reshape(p, k * q)
-    C_rows = C.transpose(1, 0, 2).reshape(p, k * q)
-    A_cols = A.reshape(k * p, q)
-    C_cols = C.reshape(k * p, q)
-    AA = (A_rows @ A_rows.conj().T).T
-    CC = C_rows @ C_rows.conj().T
-    G_XX = _kron_sum([np.eye(p), CC], [AA, np.eye(p)])
-    w_C, V_C = np.linalg.eigh(CC)
-    w_A, V_A = np.linalg.eigh(AA)
-    top_X = (w_C[-1] + w_A[-1], np.outer(V_C[:, -1], V_A[:, -1])) if p else (0.0, None)
-    gamma, Q_C = np.linalg.eigh(C_cols.conj().T @ C_cols)
-    delta, Q_A = np.linalg.eigh((A_cols.conj().T @ A_cols).T)
-    H = -2.0 * _kron_sum(C @ Q_C, A.conj() @ Q_A)
-    return G_XX, top_X, gamma, Q_C, delta, Q_A, H
-
-
-def _coincidence_null(A, C, tol):
-    """Null vectors of the constraint map L of _constraint_gram, as columns
-    of the row-major (vec X, vec Y), from the partial Schur complement of
-    its Gram that weak_coincidence_fit describes.  Q_C (x) Q_A is applied
-    by einsum, never formed."""
-    _, p, q = A.shape
-    G_XX, (lam_X, X_top), gamma, Q_C, delta, Q_A, H = _constraint_gram(A, C)
-    eig_Y = np.add.outer(gamma, delta).ravel()
-    lam_Y = eig_Y.max(initial=0.0)
-    lam = max(lam_X, lam_Y)
-    strong = eig_Y > np.sqrt(tol.rank_rel) * lam
-    H_s, H_w, D_s = H[:, strong], H[:, ~strong], eig_Y[strong]
-    w, E = np.linalg.eigh(
-        np.block([[G_XX - (H_s / D_s) @ H_s.conj().T, H_w], [H_w.conj().T, np.diag(eig_Y[~strong])]])
-    )
-    keep = max(1, int(np.count_nonzero(w <= tol.rank_rel * lam)))
-    # lifted candidates, then the top direction, in G_YY's eigenbasis for Y
-    X = np.zeros((p * p, keep + 1), dtype=complex)
-    Y = np.zeros((q * q, keep + 1), dtype=complex)
-    X[:, :keep] = E[: p * p, :keep]
-    Y[~strong, :keep] = E[p * p :, :keep]
-    Y[strong, :keep] = -(H_s.conj().T @ X[:, :keep]) / D_s[:, None]
-    if p and lam_X >= lam_Y:
-        X[:, keep] = X_top.ravel()
-    else:
-        Y[np.argmax(eig_Y), keep] = 1.0
-    Y = np.einsum("ia,abc,jb->ijc", Q_C, Y.reshape(q, q, keep + 1), Q_A).reshape(q * q, keep + 1)
-    basis = np.linalg.qr(np.vstack([X, Y]))[0]
-    return basis @ _null_vectors(_apply_constraints(A, C, basis), tol)
-
-
-def _apply_constraints(A, C, V):
-    """L applied to the columns of V, unknowns on the row-major
-    (vec X, vec Y), as the columns of a (2 k p q) x (columns of V) matrix."""
-    _, p, q = A.shape
-    c = V.shape[1]
-    X = V[: p * p].T.reshape(c, p, p)
-    Y = V[p * p :].T.reshape(c, q, q)
-    direct = np.einsum("cab,kbe->kaec", X, A) - np.einsum("kab,cbe->kaec", C, Y)
-    adjoint = np.einsum("cab,keb->kaec", Y, A.conj()) - np.einsum("kba,cbe->kaec", C.conj(), X)
-    return np.concatenate([direct.reshape(-1, c), adjoint.reshape(-1, c)])
+    rng = np.random.default_rng(0)
+    sqrt_w = np.sqrt(rng.uniform(1.0, 2.0, k))[:, None, None]
+    c = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    # the blocks side by side, p x k q, and sum_k S_k R_k* of two stacks
+    rows = lambda S: S.transpose(1, 0, 2).reshape(p, k * q)
+    outer = lambda S, R: rows(S) @ rows(R).conj().T
+    lam, V1 = np.linalg.eigh(outer(sqrt_w * A, sqrt_w * A))
+    V2 = np.linalg.eigh(outer(sqrt_w * C, sqrt_w * C))[1]
+    A1 = V1.conj().T @ A
+    C2 = V2.conj().T @ C
+    N1 = outer(A1, np.tensordot(c.conj(), A1, 1))
+    N2 = outer(C2, np.tensordot(c.conj(), C2, 1))
+    cut = np.sqrt(tol.rank_rel) * lam.max(initial=0.0)
+    cluster = np.cumsum(np.diff(lam, prepend=lam[:1]) > cut)
+    a, b = np.nonzero(cluster[:, None] == cluster[None, :])
+    # the columns of U -> (U N1 - N2 U, U N1* - N2* U) at U = E_ab
+    L = np.zeros((a.size, 2, p, p), dtype=complex)
+    for side, (M1, M2) in enumerate(((N1, N2), (N1.conj().T, N2.conj().T))):
+        L[np.arange(a.size), side, a, :] = M1[b, :]
+        L[np.arange(a.size), side, :, b] -= M2[:, a].T
+    null = _null_vectors(L.reshape(a.size, 2 * p * p).T, tol)
+    U = np.zeros((p, p), dtype=complex)
+    U[a, b] = null @ (rng.standard_normal((null.shape[1], 2)) @ [1.0, 1j])
+    U = _polar_unitary(U)
+    U_in = _polar_unitary(C2.reshape(k * p, q).conj().T @ (U @ A1).reshape(k * p, q))
+    return V2 @ U @ V1.conj().T, U_in
 
 
 def _null_vectors(A, tol):
@@ -416,40 +388,18 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
 
     Each sampler's supports are the spans of all its sampled coefficient
     blocks, Z = 0 included, and of their adjoints: a lower bound that more
-    fit points can only grow.
-
-    One linear solve: at Z = 0 and at each fit point the relation and its
-    adjoint (U_in (x) I) B1(Z)* = B2(Z)* (U_out (x) I) are linear in the
-    pair (X, Y) = (U_out, U_in), so X (+) Y intertwines the self-adjoint
-    dilations [[0, Bi], [Bi*, 0]].  Blockwise the constraints read
-    X A_k = C_k Y and Y A_k* = C_k* X for the compressed coefficient
-    blocks A_k of B1 and C_k of B2, p x q each.  Neither the tall
-    constraint matrix L nor its (p^2 + q^2)-square Gram G is formed:
-    _constraint_gram gives G's blocks in closed form, with G_YY
-    diagonalized by two q x q eigh calls.  Let lam be the larger of the top
-    eigenvalues of G_XX and G_YY, so lam <= lambda_max(G) <= 2 lam.  The Y
-    directions whose G_YY eigenvalue exceeds sqrt(rank_rel) * lam are
-    strong and eliminated by a Schur complement; the weak rest stay
-    unknowns beside vec X.  A support reached only weakly puts G_YY
-    eigenvalues at round-off, even at or below 0, where eliminating would
-    divide by noise; above the floor the elimination errs by about
-    rank_rel^(-1/4) eps lam, far below the preselection level.  The
-    eigenvectors of the (p^2 + #weak)-square reduced matrix with
-    eigenvalue at most rank_rel * lam (at least one), lifted back, are the
-    candidates: a superset of the directions with singular value at most
-    rank_rel * sigma_max.  L applied to the orthonormalized candidates and
-    the top eigenvector of the larger block has L's singular values on
-    that span, and a sigma_max at least sqrt(lam), within a factor sqrt(2)
-    of L's; the null vectors (singular values at most rank_rel times that
-    sigma_max, at least one) are decided there, and they span
-    the intertwiners.  A fixed-seed complex combination of them is
-    invertible, and since the intertwiners are closed under adjoint its
-    polar factors are unitary intertwiners.  The residual is the worst
-    holdout mismatch and the verdict compares it to tol.
+    fit points can only grow.  Blockwise the relation reads X A_k = C_k Y
+    for the compressed coefficient blocks A_k of B1 and C_k of B2, p x q
+    each, and _coincidence_unitaries solves it for (X, Y) = (U_out, U_in).
+    The residual is the worst holdout mismatch, compressed the same way,
+    and the verdict compares it to tol.
     """
-    # each sampler is evaluated once per point, by one values call: at
-    # Z = 0 and the fit points here, for the supports and the constraint
-    # blocks alike
+    hold = list(holdout_points)
+    if not hold:
+        raise ValueError("need at least one holdout point")
+    # each sampler is evaluated once per point, by one values call for
+    # Z = 0 and the fit points, for the supports and the constraint blocks
+    # alike, and one for the holdout points
     points = [zero_tuple(B1.d, 1)] + list(fit_points)
     S1 = _block_stack(B1, points)
     S2 = _block_stack(B2, points)
@@ -462,19 +412,15 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
     if p == 0 and q == 0:
         return np.zeros((0, 0)), np.zeros((0, 0)), 0.0, True
 
-    A = s1_out.conj().T @ S1 @ s1_in
-    C = s2_out.conj().T @ S2 @ s2_in
-    null = _coincidence_null(A, C, num_tol)
-    vec = null @ (np.random.default_rng(0).standard_normal((null.shape[1], 2)) @ [1.0, 1j])
-    U_out = _polar_unitary(vec[: p * p].reshape(p, p))
-    U_in = _polar_unitary(vec[p * p :].reshape(q, q))
+    compress1 = lambda S: s1_out.conj().T @ S @ s1_in
+    compress2 = lambda S: s2_out.conj().T @ S @ s2_in
+    U_out, U_in = _coincidence_unitaries(compress1(S1), compress2(S2), num_tol)
+    mismatch = U_out @ compress1(_block_stack(B1, hold)) - compress2(_block_stack(B2, hold)) @ U_in
     residual = 0.0
-    hold = list(holdout_points)
-    for Z, value1, value2 in zip(hold, B1.values(hold), B2.values(hold)):
-        lhs = coeff_lift(U_out, Z.n) @ _compress(value1, s1_in, s1_out, Z.n)
-        rhs = _compress(value2, s2_in, s2_out, Z.n) @ coeff_lift(U_in, Z.n)
-        if lhs.size:
-            residual = max(residual, float(np.linalg.norm(lhs - rhs, 2)))
+    for Z, M in zip(hold, np.split(mismatch, np.cumsum([Z.n**2 for Z in hold])[:-1])):
+        if M.size:
+            value = M.reshape(Z.n, Z.n, p, q).transpose(0, 2, 1, 3).reshape(Z.n * p, Z.n * q)
+            residual = max(residual, float(np.linalg.norm(value, 2)))
     return U_out, U_in, residual, bool(residual <= tol)
 
 

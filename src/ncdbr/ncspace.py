@@ -8,8 +8,8 @@ below and in the higher modules is normalized into this single layout.
 Every level lift is built by one of two primitives and never by np.kron:
 `coeff_lift` places a coefficient map on the block diagonal (I_n (x) A),
 and `_kron_sum` forms sum_j kron(L_j, R_j) as one einsum, which serves
-`point_block`, `pencil_tz_star`, the kernel systems and the Gram matrix
-of the coincidence constraints.
+`point_block`, `pencil_tz_star`, the level pencils of the transfer
+functions and the kernel systems.
 """
 
 from dataclasses import dataclass, field

@@ -11,11 +11,9 @@ from conftest import (
     random_partial_isometry,
     spy_decompositions,
 )
-from dense_coincidence import constraint_rows, dense_null
+from dense_coincidence import dense_unitaries
 from ncdbr.charfn import (
     SchurSampler,
-    _apply_constraints,
-    _constraint_gram,
     _null_vectors,
     char_fn,
     char_fn_partial_isometry,
@@ -464,92 +462,18 @@ def test_weak_coincidence_support_mismatch():
     assert not ok and res == float("inf")
 
 
-def _random_values(rng, n, p, q):
-    shape = (n, p, n, q)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-@pytest.mark.parametrize("p, q", [(2, 3), (3, 1), (1, 1), (4, 0)])
-def test_constraint_gram_matches_dense_rows(p, q):
-    # values at levels 1..3; (4, 0) is an empty input support, where every
-    # constraint row is empty and the Gram is zero
-    rng = np.random.default_rng(10 * p + q)
-    pairs = [(_random_values(rng, n, p, q), _random_values(rng, n, p, q)) for n in (1, 2, 3, 2)]
-    rows = constraint_rows(pairs)
-    ref = rows.conj().T @ rows
-    A, C = (
-        np.concatenate([M.transpose(0, 2, 1, 3).reshape(len(M) ** 2, p, q) for M in stack])
-        for stack in zip(*pairs)
-    )
-    # G assembled from the returned blocks: G_YY from its eigenpairs and
-    # the cross block rotated back
-    G_XX, (lam_X, X_top), gamma, Q_C, delta, Q_A, H = _constraint_gram(A, C)
-    R = np.kron(Q_C, Q_A)
-    G_YY = (R * np.add.outer(gamma, delta).ravel()) @ R.conj().T
-    G = np.block([[G_XX, H @ R.conj().T], [R @ H.conj().T, G_YY]])
-    assert G.shape == ref.shape == (p * p + q * q, p * p + q * q)
-    assert np.linalg.norm(G - ref, 2) <= 1e-12 * max(np.linalg.norm(ref, 2), 1.0)
-    # G_XX's top eigenpair, from its two p x p factors
-    scale = max(np.linalg.norm(G_XX, 2), 1.0)
-    assert abs(lam_X - np.linalg.eigvalsh(G_XX)[-1]) <= 1e-12 * scale
-    x = X_top.ravel()
-    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
-    assert np.linalg.norm(G_XX @ x - lam_X * x) <= 1e-12 * scale
-    # the constraints applied to a batch of unknowns have the dense rows'
-    # Gram on the batch, whatever the row order
-    basis = rng.standard_normal((p * p + q * q, 3)) + 1j * rng.standard_normal((p * p + q * q, 3))
-    applied = _apply_constraints(A, C, basis)
-    assert applied.shape == (rows.shape[0], 3)
-    gram = applied.conj().T @ applied
-    want = basis.conj().T @ ref @ basis
-    assert np.linalg.norm(gram - want, 2) <= 1e-12 * max(np.linalg.norm(want, 2), 1.0)
-
-
-def _split(blocks, tol=DEFAULT_TOL):
-    """(lam, p^2 + q^2, p^2 + #weak) of _constraint_gram's blocks: the
-    preselection scale, the unknown count and the reduced size."""
-    G_XX, (lam_X, _), gamma, _, delta, _, _ = blocks
-    eig_Y = np.add.outer(gamma, delta).ravel()
-    lam = max(lam_X, eig_Y.max(initial=0.0))
-    weak = int(np.count_nonzero(eig_Y <= np.sqrt(tol.rank_rel) * lam))
-    return lam, G_XX.shape[0] + eig_Y.size, G_XX.shape[0] + weak
-
-
 def _spy_null_vectors(monkeypatch):
-    """Record (columns passed, null vectors returned, unknowns p^2 + q^2) of
-    every _null_vectors call.  Require that the eigh just before it is the
-    (p^2 + #weak)-square reduced one, and that the call gets at most one
-    column more than that eigh's candidates, eigenvalue at most
-    rank_rel * lam."""
+    """Record (columns passed, null vectors returned) of every _null_vectors
+    call; in the library's solver the columns are the sum k_i^2 unknowns of
+    the cluster system."""
     calls = []
-    eigenvalues = []
-    splits = []
-    eigh = np.linalg.eigh
     null_vectors = charfn_module._null_vectors
-    constraint_gram = charfn_module._constraint_gram
-
-    def spy_eigh(M):
-        w, E = eigh(M)
-        eigenvalues.append(w)
-        return w, E
-
-    def spy_gram(A, C):
-        blocks = constraint_gram(A, C)
-        splits.append(_split(blocks))
-        return blocks
 
     def spy_null(A, tol):
-        lam, unknowns, reduced = splits[-1]
-        w = eigenvalues[-1]
-        assert w.size == reduced
-        candidates = max(1, int(np.count_nonzero(w <= tol.rank_rel * lam)))
-        assert A.shape[1] <= candidates + 1
         N = null_vectors(A, tol)
-        calls.append((A.shape[1], N.shape[1], unknowns))
+        calls.append((A.shape[1], N.shape[1]))
         return N
 
-    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    monkeypatch.setattr(charfn_module, "_constraint_gram", spy_gram)
     monkeypatch.setattr(charfn_module, "_null_vectors", spy_null)
     return calls
 
@@ -560,9 +484,17 @@ def _assert_tight_fit(U_out, U_in, res, ok):
         assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2) <= 1e-10
 
 
+def _conjugated(T, seed):
+    """Q T Q* for a seeded random unitary Q."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((T.m, T.m)) + 1j * rng.standard_normal((T.m, T.m)))[0]
+    return RowContraction(tuple(Q @ op @ Q.conj().T for op in T.ops))
+
+
 def test_weak_coincidence_largest_popescu_fit(monkeypatch):
     # d = 3, m = 6: the largest shape of the coincidence workload, with
-    # p = 6 and q = 18 unknown coefficient dimensions
+    # p = 6 and q = 18 coefficient dimensions; the output Gram's spectrum
+    # is simple, so the rank is decided on p = 6 unknowns
     calls = _spy_null_vectors(monkeypatch)
     T = random_contraction(36, 3, 6)
     U_out, U_in, res, ok = weak_coincidence_fit(
@@ -570,35 +502,25 @@ def test_weak_coincidence_largest_popescu_fit(monkeypatch):
     )
     assert U_out.shape == (6, 6) and U_in.shape == (18, 18)
     _assert_tight_fit(U_out, U_in, res, ok)
-    assert [null for _, null, _ in calls] == [1]
+    assert calls == [(6, 1)]
 
 
 def test_weak_coincidence_largest_fit_eigh_sizes(monkeypatch):
-    # no eigh of the (3, 6) fit exceeds the reduced p^2 + #weak, here 36:
-    # G_YY is diagonalized from two 18 x 18 factors, never as 324 x 324
+    # the (3, 6) fit takes one eigh of each p x p output Gram, 6 x 6, and
+    # none of the q x q input Grams or of any constraint Gram
     T = random_contraction(36, 3, 6)
     B1, B2 = char_fn(T), popescu_char(T)
     sizes = []
-    splits = []
     eigh = np.linalg.eigh
-    constraint_gram = charfn_module._constraint_gram
 
     def spy_eigh(M):
-        sizes.append(M.shape[0])
+        sizes.append(M.shape)
         return eigh(M)
 
-    def spy_gram(A, C):
-        blocks = constraint_gram(A, C)
-        splits.append(_split(blocks))
-        return blocks
-
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    monkeypatch.setattr(charfn_module, "_constraint_gram", spy_gram)
     _, _, _, ok = weak_coincidence_fit(B1, B2, ball_points(3, 6, seed=100), ball_points(3, 4, seed=900))
     assert ok
-    [(_, unknowns, reduced)] = splits
-    assert unknowns == 36 + 324
-    assert max(sizes) <= reduced and max(sizes) <= 36
+    assert sizes == [(6, 6), (6, 6)]
 
 
 def test_weak_coincidence_reducible_null_space_of_dimension_two(monkeypatch):
@@ -606,52 +528,26 @@ def test_weak_coincidence_reducible_null_space_of_dimension_two(monkeypatch):
     # intertwiner, so the null space has dimension 2
     calls = _spy_null_vectors(monkeypatch)
     T = _direct_sum_contraction(random_contraction(32, 2, 3), random_contraction(42, 2, 3, norm=0.6))
-    rng = np.random.default_rng(5)
-    Q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
-    T2 = RowContraction(tuple(Q @ op @ Q.conj().T for op in T.ops))
     fit = ball_points(2, 6, seed=100)
     hold = ball_points(2, 4, seed=900)
-    for B2 in (char_fn(T2), popescu_char(T)):
+    for B2 in (char_fn(_conjugated(T, 5)), popescu_char(T)):
         _assert_tight_fit(*weak_coincidence_fit(char_fn(T), B2, fit, hold))
-    assert [null for _, null, _ in calls] == [2, 2]
-
-
-@pytest.mark.parametrize("negative", [False, True])
-def test_weak_coincidence_decides_rank_on_gram_candidates(monkeypatch, negative):
-    # the rank decision sees the candidates of the reduced eigenvalue
-    # preselection and the top direction, never the full unknown space
-    calls = _spy_null_vectors(monkeypatch)
-    T = random_contraction(13, 2, 4)
-    B2 = char_fn(random_contraction(14, 2, 4)) if negative else popescu_char(T)
-    fit = ball_points(2, 6, seed=100)
-    hold = ball_points(2, 4, seed=900)
-    _, _, _, ok = weak_coincidence_fit(char_fn(T), B2, fit, hold)
-    assert ok != negative
-    assert len(calls) == 1
-    columns, _, unknowns = calls[0]
-    assert columns < unknowns
+    assert [null for _, null in calls] == [2, 2]
 
 
 def _fit_against_dense_oracle(monkeypatch, B1, B2, fit, hold):
-    """weak_coincidence_fit with the library's solve and with the dense
-    full-Gram oracle in its place: the verdicts and null-space dimensions
-    must agree, and a positive fit must hold to 1e-12.  Returns the
-    verdict."""
+    """weak_coincidence_fit with the library's solver and with the dense
+    joint solve in its place: the verdicts and null-space dimensions must
+    agree, and a positive fit must hold to 1e-12.  Returns the verdict."""
     results = []
-    for solve in (charfn_module._coincidence_null, dense_null):
-        dims = []
-
-        def recorded(A, C, tol, solve=solve, dims=dims):
-            N = solve(A, C, tol)
-            dims.append(N.shape[1])
-            return N
-
-        monkeypatch.setattr(charfn_module, "_coincidence_null", recorded)
+    for solve in (charfn_module._coincidence_unitaries, dense_unitaries):
+        monkeypatch.setattr(charfn_module, "_coincidence_unitaries", solve)
+        calls = _spy_null_vectors(monkeypatch)
         _, _, res, ok = weak_coincidence_fit(B1, B2, fit, hold)
-        results.append((ok, dims))
+        monkeypatch.undo()
+        results.append((ok, [null for _, null in calls]))
         if ok:
             assert res <= 1e-12
-    monkeypatch.undo()
     assert results[0] == results[1]
     return results[0][0]
 
@@ -675,16 +571,40 @@ def test_weak_coincidence_reducible_matches_dense_oracle(monkeypatch):
     assert _fit_against_dense_oracle(monkeypatch, char_fn(T), popescu_char(T), fit, hold)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3])
+def test_weak_coincidence_doubled_spectrum_matches_dense_oracle(monkeypatch, d, m):
+    # T = A (+) A doubles every eigenvalue of the output Gram: the clusters
+    # have size 2, the cluster system has 4 p / 2 = 2 p unknowns, and the
+    # intertwiners, M_2 (x) I_m up to the fitted unitary, have dimension 4
+    A = random_contraction(800 + 10 * d + m, d, m)
+    T = _direct_sum_contraction(A, A)
+    B1 = char_fn(T)
+    fit = ball_points(d, 6, seed=100)
+    hold = ball_points(d, 4, seed=900)
+    calls = _spy_null_vectors(monkeypatch)
+    _assert_tight_fit(*weak_coincidence_fit(B1, char_fn(_conjugated(T, d + m)), fit, hold))
+    monkeypatch.undo()
+    assert calls == [(2 * B1.output_dim, 4)]
+    for B2 in (char_fn(_conjugated(T, d + m)), popescu_char(T)):
+        assert _fit_against_dense_oracle(monkeypatch, B1, B2, fit, hold)
+    A2 = random_contraction(900 + 10 * d + m, d, m)
+    other = char_fn(_direct_sum_contraction(A2, A2))
+    assert not _fit_against_dense_oracle(monkeypatch, B1, other, fit, hold)
+
+
 @pytest.mark.parametrize("p, q", [(0, 3), (3, 0)])
 def test_coincidence_null_of_empty_support(p, q):
-    # with p = 0 or q = 0 every constraint row is empty and every unknown
-    # is null
+    # with p = 0 or q = 0 every constraint is empty, so every pair of
+    # unitaries of shapes (p, p) and (q, q) intertwines; both solvers
+    # return one
     rng = np.random.default_rng(p + 7 * q)
     A, C = (rng.standard_normal((4, p, q)) + 1j * rng.standard_normal((4, p, q)) for _ in range(2))
-    N = charfn_module._coincidence_null(A, C, DEFAULT_TOL)
-    ref = dense_null(A, C, DEFAULT_TOL)
-    assert N.shape == ref.shape == (p * p + q * q, p * p + q * q)
-    assert np.linalg.norm(N.conj().T @ N - np.eye(N.shape[1]), 2) <= 1e-12
+    for solve in (charfn_module._coincidence_unitaries, dense_unitaries):
+        U_out, U_in = solve(A, C, DEFAULT_TOL)
+        assert U_out.shape == (p, p) and U_in.shape == (q, q)
+        for U in (U_out, U_in):
+            assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])) <= 1e-12
 
 
 def _linear_sampler(M):
@@ -693,15 +613,18 @@ def _linear_sampler(M):
     return SchurSampler(d=d, input_dim=q, output_dim=p, evaluator=lambda Z: point_block(Z, M))
 
 
-def _weak_support_pair(weight, miss=0.0, seed=0):
-    """A linear sampler with d = 3, p = 2, q = 5 whose last input column is
-    scaled by weight, and its unitary rotation; miss perturbs one entry of
-    the rotated copy."""
+def _weak_support_pair(weight, miss=0.0, seed=0, side="input"):
+    """A linear sampler with d = 3, p = 2, q = 5 whose last input column, or
+    last output row, is scaled by weight, and its unitary rotation; miss
+    perturbs one entry of the rotated copy."""
     rng = np.random.default_rng(seed)
     cm = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     M = cm(3, 2, 5)
     M /= 2.0 * np.linalg.norm(M.reshape(-1, 5), 2)
-    M[:, :, -1] *= weight
+    if side == "input":
+        M[:, :, -1] *= weight
+    else:
+        M[:, -1, :] *= weight
     U_out, U_in = (np.linalg.qr(cm(k, k))[0] for k in (2, 5))
     M2 = M.copy()
     M2[0, 0, 0] += miss
@@ -710,8 +633,8 @@ def _weak_support_pair(weight, miss=0.0, seed=0):
 
 @pytest.mark.parametrize("weight", [1e-5, 1e-8, 1e-9])
 def test_weak_coincidence_weak_support_matches_dense_oracle(monkeypatch, weight):
-    # the weak input column keeps G_YY eigenvalues at round-off; those
-    # directions stay unknowns of the reduced problem
+    # the weak input column leaves sum C_k* C_k an eigenvalue of order
+    # weight^2, which the polar factor for U_in still resolves
     fit = ball_points(3, 6, seed=100)
     hold = ball_points(3, 4, seed=900)
     assert _fit_against_dense_oracle(monkeypatch, *_weak_support_pair(weight), fit, hold)
@@ -719,31 +642,83 @@ def test_weak_coincidence_weak_support_matches_dense_oracle(monkeypatch, weight)
     assert not _fit_against_dense_oracle(monkeypatch, *near_miss, fit, hold)
 
 
-def test_full_elimination_fails_on_weak_support(monkeypatch):
-    # eliminating every Y direction, weak ones included, divides by a G_YY
-    # eigenvalue that round-off put at or below 0: the reduced matrix is not
-    # finite, while the kept weak direction gives the right fit
-    stacks = []
-    solve = charfn_module._coincidence_null
+@pytest.mark.parametrize("weight", [1e-5, 1e-8, 1e-9])
+def test_weak_coincidence_weak_output_row_matches_dense_oracle(monkeypatch, weight):
+    # the weak output row is a cluster of its own at the foot of the output
+    # Gram's spectrum, tied to the other by entries of N of order weight
+    fit = ball_points(3, 6, seed=100)
+    hold = ball_points(3, 4, seed=900)
+    pair = _weak_support_pair(weight, side="output")
+    assert _fit_against_dense_oracle(monkeypatch, *pair, fit, hold)
+    near_miss = _weak_support_pair(weight, miss=1e-3, side="output")
+    assert not _fit_against_dense_oracle(monkeypatch, *near_miss, fit, hold)
 
-    def captured(A, C, tol):
-        stacks.append((A, C))
-        return solve(A, C, tol)
 
-    monkeypatch.setattr(charfn_module, "_coincidence_null", captured)
-    B1, B2 = _weak_support_pair(1e-9)
-    _assert_tight_fit(*weak_coincidence_fit(B1, B2, ball_points(3, 6), ball_points(3, 4, seed=900)))
-    [(A, C)] = stacks
-    G_XX, _, gamma, _, delta, _, H = _constraint_gram(A, C)
-    eig_Y = np.add.outer(gamma, delta).ravel()
-    assert eig_Y.min() <= 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        K = H / np.sqrt(eig_Y)
-        try:
-            w = np.linalg.eigh(G_XX - K @ K.conj().T)[0]
-        except np.linalg.LinAlgError:
-            w = np.array([np.nan])
-    assert not np.all(np.isfinite(w))
+@pytest.mark.parametrize("d", [2, 3])
+def test_weak_coincidence_at_sixteen_dimensions(d):
+    # m = 16: p = 16 and q = 16 d, far past the coincidence workload
+    T = random_contraction(1600 + d, d, 16)
+    B1 = char_fn(T)
+    fit = ball_points(d, 6, seed=100)
+    hold = ball_points(d, 4, seed=900)
+    _assert_tight_fit(*weak_coincidence_fit(B1, char_fn(_conjugated(T, d)), fit, hold))
+    other = char_fn(random_contraction(1700 + d, d, 16))
+    _, _, res, ok = weak_coincidence_fit(B1, other, fit, hold)
+    assert not ok and res >= 1e-3
+
+
+def test_weak_coincidence_fit_takes_no_coefficient_lift(monkeypatch):
+    # the holdout mismatch U_out H1 - H2 U_in is formed once on the
+    # compressed block stacks, and each point's norm is taken on its view
+    calls = []
+    lift = charfn_module.coeff_lift
+
+    def counted(A, n):
+        calls.append(n)
+        return lift(A, n)
+
+    monkeypatch.setattr(charfn_module, "coeff_lift", counted)
+    T = random_contraction(11, 2, 3)
+    fit = ball_points(2, 6, seed=100)
+    hold = ball_points(2, 4, seed=900)
+    _assert_tight_fit(*weak_coincidence_fit(char_fn(T), popescu_char(T), fit, hold))
+    assert not calls
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_weak_coincidence_residual_is_the_worst_lifted_mismatch(seed):
+    # the blockwise holdout residual equals the worst 2-norm of the lifted
+    # (U_out (x) I) B1(Z) - B2(Z) (U_in (x) I), both compressed to the fit's
+    # supports, on a positive and on a negative pair
+    T = random_contraction(seed, 2, 3)
+    fit = ball_points(2, 6, seed=100)
+    hold = ball_points(2, 4, seed=900, levels=(1, 2, 3))
+    points = [zero_tuple(2, 1)] + fit
+    for B2 in (popescu_char(T), char_fn(random_contraction(seed + 10, 2, 3))):
+        B1 = char_fn(T)
+        U_out, U_in, res, _ = weak_coincidence_fit(B1, B2, fit, hold)
+        (in1, out1), (in2, out2) = support_frames(B1, points), support_frames(B2, points)
+        want = 0.0
+        for Z in hold:
+            lhs = coeff_lift(U_out @ out1.conj().T, Z.n) @ B1(Z) @ coeff_lift(in1, Z.n)
+            rhs = coeff_lift(out2.conj().T, Z.n) @ B2(Z) @ coeff_lift(in2 @ U_in, Z.n)
+            want = max(want, np.linalg.norm(lhs - rhs, 2))
+        assert abs(res - want) <= 1e-13 * max(1.0, want)
+
+
+def test_weak_coincidence_rejects_empty_holdout():
+    # with no holdout point there is no residual to decide on: unrelated
+    # samplers must not pass, and nothing is evaluated first
+    calls = []
+
+    def counted(B):
+        return SchurSampler(B.d, B.input_dim, B.output_dim, lambda Z: calls.append(Z) or B(Z))
+
+    B1 = counted(char_fn(random_contraction(11, 2, 3)))
+    B2 = counted(char_fn(random_contraction(12, 2, 3)))
+    with pytest.raises(ValueError, match="need at least one holdout point"):
+        weak_coincidence_fit(B1, B2, ball_points(2, 6, seed=100), [])
+    assert not calls
 
 
 def _commutator_sampler(c):
