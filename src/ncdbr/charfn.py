@@ -121,6 +121,8 @@ def _julia_compression(julia, F_in, F_out, tol, tag):
         C=F_out.conj().T @ julia.C,
         D=F_out.conj().T @ julia.D @ F_in,
     )
+    # the state maps are the Julia colligation's, and so is their norm
+    vars(c)["A_norm"] = julia.A_norm
     return SchurSampler(
         d=c.d,
         input_dim=c.input_dim,

@@ -8,12 +8,12 @@ word_index(w) * coeff_dim + c.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotCNC, NotContraction, TruncationTooShort
-from .ncspace import pencil_tz_star, sample_ball_point, words_up_to
+from .ncspace import _kron_sum, sample_ball_point, words_up_to
 from .numerics import DEFAULT_TOL, orthonormal_range
 from .numerics import _as_complex, _fix_column_phases, _psd_eigenvalues
 from .rowcontraction import _cnc_report, defects
@@ -148,20 +148,23 @@ def kernel_vector(space, Z, g, x, u):
     <g (x) x, f(Z) u> up to the truncation tail.
     """
     p = space.ambient.coeff_dim
-    x, u = (np.broadcast_to(np.asarray(v, dtype=complex), (p, Z.n)) for v in (x, u))
-    return space.range_frame @ (_kernel_coords(space, Z, x, u) @ np.asarray(g, dtype=complex))
+    x, u = (np.broadcast_to(np.asarray(v, dtype=complex), (1, p, Z.n)) for v in (x, u))
+    coords = _kernel_coords(space, np.stack(Z.coords)[None], x, u)[0]
+    return space.range_frame @ (coords @ np.asarray(g, dtype=complex))
 
 
 def _kernel_coords(space, Z, x, u):
     """Range-frame coordinates diag(w) F* s_g of the kernel vectors
-    K^B{Z, e_g (x) x_g, u_g} for the output basis vectors e_g, one column
-    each, from one Szego recursion over the rows conj(x_g): the Szego
-    vector s_g has coefficient conj(x_g* Z^w u_g) at (w, g)."""
+    K^B{Z^i, e_g (x) x_g^i, u_g^i} at k stacked points Z of shape
+    (k, d, n, n), with x and u of shape (k, p, n): one (dim, p) block per
+    point, a column per output basis vector e_g.  One Szego recursion runs
+    over the rows conj(x_g^i) of all k points: the Szego vector s_g has
+    coefficient conj(x_g* Z^w u_g) at (w, g)."""
     f = space.ambient
-    rows = _word_blocks(np.conj(x), Z.coords, f.N)
-    coeffs = np.einsum("wgn,gn->wg", rows, u).conj()
+    rows = _word_blocks(np.conj(x), Z.swapaxes(0, 1), f.N)
+    coeffs = np.einsum("wign,ign->wig", rows, u).conj()
     F = space.range_frame.reshape(f.num_words, f.coeff_dim, space.dim)
-    return np.einsum("wgk,wg->kg", F.conj(), coeffs) / space.gram.diagonal()[:, None]
+    return np.einsum("wgc,wig->icg", F.conj(), coeffs) / space.gram.diagonal()[:, None]
 
 
 def eval_vector(vec, f, Z):
@@ -172,6 +175,34 @@ def eval_vector(vec, f, Z):
     powers = _word_blocks(np.eye(Z.n), Z.coords, f.N)
     coeffs = np.asarray(vec, dtype=complex).reshape(f.num_words, f.coeff_dim)
     return np.einsum("wab,wk->akb", powers, coeffs).reshape(f.coeff_dim * Z.n, Z.n)
+
+
+# the levels of model_verify's kernel probes, one point each
+_PROBE_LEVELS = (1, 2, 2, 1, 2)
+
+
+@lru_cache(maxsize=16)
+def _kernel_probes(d, p, seed):
+    """model_verify's seeded kernel probes, grouped by level in order of
+    first appearance: a tuple of (n, Z, x, u) with the k points of level n
+    stacked, Z of shape (k, d, n, n) and x, u of shape (k, p, n).  Point s
+    is sample_ball_point(d, n, 0.45, seed + s), with x and u drawn from
+    default_rng(seed + 100 + s).  They are constants of (d, p, seed), so
+    they are drawn once per process, and the arrays are read-only because
+    every caller shares them."""
+    levels = {}
+    for s, n in enumerate(_PROBE_LEVELS):
+        Z = sample_ball_point(d, n, 0.45, seed + s)
+        draws = np.random.default_rng(seed + 100 + s).standard_normal((p, 4, n))
+        x, u = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+        levels.setdefault(n, []).append((np.stack(Z.coords), x, u))
+    probes = []
+    for n, points in levels.items():
+        stacks = [np.stack(arrays) for arrays in zip(*points)]
+        for a in stacks:
+            a.flags.writeable = False
+        probes.append((n, *stacks))
+    return tuple(probes)
 
 
 def _model_space(T, N, tol):
@@ -206,8 +237,11 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     decay geometrically in N: frame_residual ||I - O_N* O_N||, which is
     ||sum_{|w|=N+1} T^w T^w*||; intertwine_residual
     max_j ||G^(1/2) (U T_j - X_j U)||; and kernel_identity_residual, the
-    gap in (I - Z X*)^(-1) K_0 g = K^B{Z, g (x) x, u} at five seeded
-    points, which does not involve U.
+    largest gap in (I - Z X*)^(-1) K_0 g = K^B{Z, g (x) x, u} over five
+    seeded probes (Z, x, u), which does not involve U.  The probes are
+    constants of (d, p, seed), drawn once per process and kept read-only;
+    the check makes one stacked X-pencil solve per probe level, with one
+    Szego recursion over that level's points.
 
     For a scalar strict contraction T = r the model space is spanned by
     k_N = (1, r, ..., r^N), X = r - r^(2N+1) (1 - r^2)/(1 - r^(2N+2)), and
@@ -228,17 +262,18 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     # K_0 g = (I - B(L) B(L)*) g at the empty word, for the basis vectors g
     K0 = sigma2[:, None] * F[:p].conj().T
     kernel_resid = 0.0
-    for s, n in enumerate([1, 2, 2, 1, 2]):
-        Z = sample_ball_point(T.d, n, 0.45, seed + s)
-        draws = np.random.default_rng(seed + 100 + s).standard_normal((p, 4, n))
-        x = draws[:, 0] + 1j * draws[:, 1]
-        u = draws[:, 2] + 1j * draws[:, 3]
-        # one solve of the X pencil, right-hand side x_g (x) K_0 g per column
-        rhs = np.einsum("ga,kg->akg", x, K0).reshape(n * space.dim, p)
-        solved = np.linalg.solve(pencil_tz_star(X, Z), rhs).reshape(n, space.dim, p)
-        via_X = np.einsum("ga,akg->kg", u.conj(), solved)
+    for n, Z, x, u in _kernel_probes(T.d, p, seed):
+        k, size = len(Z), n * space.dim
+        # the k X-pencils from one kron sum on the stacked Z^i*, since
+        # kron([Z^1*; Z^2*], X_j) = [kron(Z^1*, X_j); kron(Z^2*, X_j)]
+        Zstar = Z.conj().transpose(1, 0, 3, 2).reshape(T.d, k * n, n)
+        pencils = np.eye(size) - _kron_sum(Zstar, X).reshape(k, size, size)
+        # right-hand side x_g (x) K_0 g per column, one solve per level
+        rhs = np.einsum("iga,cg->iacg", x, K0).reshape(k, size, p)
+        solved = np.linalg.solve(pencils, rhs).reshape(k, n, space.dim, p)
+        via_X = np.einsum("iga,iacg->icg", u.conj(), solved)
         gap = G_half * (via_X - _kernel_coords(space, Z, x, u))
-        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=0).max()))
+        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=1).max()))
 
     intertwine_resid = max(
         float(np.linalg.norm(G_half * (U @ Tj - Xj @ U), 2)) for Tj, Xj in zip(T.ops, X)

@@ -65,7 +65,8 @@ class Colligation:
     @cached_property
     def A_norm(self):
         """Norm of the column [A_1; ...; A_d], computed on first use and
-        kept; the maps must not change in place."""
+        kept; the maps must not change in place.  julia_matrix sets it
+        from T's SVD instead."""
         return float(np.linalg.norm(np.vstack(self.A), 2)) if self.state_dim else 0.0
 
     @property

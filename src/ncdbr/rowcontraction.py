@@ -193,9 +193,14 @@ def julia_matrix(T, tol=DEFAULT_TOL):
 
     State maps are the adjoints T_j*, the input space is the full
     md-dimensional domain of T, the output space is the m-dimensional range.
+    Its A_norm, the norm of [T_1*; ...; T_d*], is T's row norm, read off
+    the SVD T took when it was built.
     """
     D_T, D_Tstar = defects(T, tol)
     m = T.m
     A = tuple(Tj.conj().T for Tj in T.ops)
     B = tuple(D_T[j * m : (j + 1) * m, :] for j in range(T.d))
-    return Colligation(A=A, B=B, C=D_Tstar, D=-T.row())
+    julia = Colligation(A=A, B=B, C=D_Tstar, D=-T.row())
+    sigma = T.row_svd[1]
+    vars(julia)["A_norm"] = float(sigma[0]) if sigma.size else 0.0
+    return julia

@@ -35,8 +35,10 @@ def random_partial_isometry(seed, d, m, rank):
 
 
 def spy_decompositions(monkeypatch):
-    """Record each np.linalg.svd and np.linalg.eigh call, and each psd_sqrt
-    call through an ncdbr module, as (name, argument, caller's name)."""
+    """Record each np.linalg.svd and np.linalg.eigh call, each matrix 2-norm
+    taken by np.linalg.norm (an SVD that np.linalg.svd does not see) as an
+    svd, and each psd_sqrt call through an ncdbr module, as (name, argument,
+    caller's name)."""
     calls = []
 
     def spy(name, fn):
@@ -46,6 +48,13 @@ def spy_decompositions(monkeypatch):
 
         return recorded
 
+    def norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2) and np.ndim(x) == 2:
+            calls.append(("svd", np.array(x), sys._getframe(1).f_code.co_name))
+        return matrix_norm(x, ord, *args, **kwargs)
+
+    matrix_norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", norm)
     for name in ("svd", "eigh"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     for modname, module in list(sys.modules.items()):

@@ -880,6 +880,25 @@ def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
     assert not any(decomposes_row(A, T) for _, A, c in calls if c != "__post_init__")
 
 
+@pytest.mark.parametrize("build", [char_fn, popescu_char, char_fn_partial_isometry])
+def test_values_read_the_row_norm_of_t(monkeypatch, build):
+    # the pencil check's bound ||Z||_row ||T||_row takes T's row norm from
+    # the SVD T took when it was built: a fresh sampler's values decompose
+    # neither T's row nor its adjoint [T_1*; ...; T_d*]
+    if build is char_fn_partial_isometry:
+        T = random_partial_isometry(80, 2, 3, 2)
+    else:
+        T = random_contraction(80, 2, 3)
+    points = [sample_ball_point(2, n, 0.6, 80 + n) for n in (1, 2)]
+    want = [build(T)(Z) for Z in points]
+    calls = spy_decompositions(monkeypatch)
+    B = build(T)
+    values = [B(Z) for Z in points] + B.values(points)
+    assert not any(decomposes_row(A, T) for name, A, _ in calls if name == "svd")
+    monkeypatch.undo()
+    assert all(np.array_equal(v, w) for v, w in zip(values, want + want))
+
+
 def test_frostman_values_reuse_hoisted_defects(monkeypatch):
     import ncdbr.charfn
 

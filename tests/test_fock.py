@@ -8,6 +8,8 @@ from dense_fock import mult_operator, shifts, transpose_unitary
 from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
 from ncdbr.fock import (
     TruncatedFock,
+    _kernel_coords,
+    _kernel_probes,
     _model_space,
     _word_blocks,
     dbr_space,
@@ -18,6 +20,7 @@ from ncdbr.fock import (
 )
 from ncdbr.ncspace import (
     FreeWord,
+    MatrixTuple,
     pencil_tz_star,
     sample_ball_point,
     word_apply,
@@ -442,23 +445,84 @@ def test_model_verify_matches_looped_oracle(d, m):
 
 
 @pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2)])
-def test_model_verify_solves_once_per_point(monkeypatch, d, m):
-    # one X-pencil solve per sample point, with the p kernel right-hand
-    # sides as its columns; no solve in T's pencil and no fitted unitary
+def test_model_verify_solves_once_per_level(monkeypatch, d, m):
+    # one stacked X-pencil solve per probe level: the two level-1 and the
+    # three level-2 points, with the p kernel right-hand sides as columns;
+    # no pencil in T and no fitted unitary
     T = random_contraction(50 + d, d, m, norm=0.8)
     solves = []
-    pencils = []
+    kron_sums = []
     solve = np.linalg.solve
+    fock = sys.modules["ncdbr.fock"]
+    kron_sum = fock._kron_sum
     monkeypatch.setattr(np.linalg, "solve", lambda A, b: solves.append(b.shape) or solve(A, b))
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pytest.fail("pinv called"))
     monkeypatch.setattr(
-        sys.modules["ncdbr.fock"],
-        "pencil_tz_star",
-        lambda ops, Z: pencils.append(ops) or pencil_tz_star(ops, Z),
+        fock, "_kron_sum", lambda L, R: kron_sums.append(R) or kron_sum(L, R)
     )
     rep = model_verify(T, 3)
-    # D_T* has full rank, so p = m
-    assert solves == [(n * m, m) for n in (1, 2, 2, 1, 2)]
-    assert not any(ops is T.ops for ops in pencils)
+    # D_T* has full rank, so p = m, and the model space has dimension m
+    assert solves == [(2, m, m), (3, 2 * m, m)]
+    assert len(kron_sums) == 2
+    assert not any(ops is T.ops for ops in kron_sums)
     monkeypatch.undo()
     assert rep == model_verify(T, 3)
+
+
+def test_kernel_probes_drawn_once_per_key(monkeypatch):
+    # the probes are constants of (d, p, seed): a second call with the same
+    # key draws no point, a new seed draws all five
+    _kernel_probes.cache_clear()
+    drawn = []
+    monkeypatch.setattr(
+        sys.modules["ncdbr.fock"],
+        "sample_ball_point",
+        lambda *a: drawn.append(a) or sample_ball_point(*a),
+    )
+    first = _kernel_probes(2, 3, 11)
+    assert len(drawn) == 5
+    assert _kernel_probes(2, 3, 11) is first
+    assert len(drawn) == 5
+    _kernel_probes(2, 3, 12)
+    assert len(drawn) == 10
+    assert [(n, Z.shape, x.shape, u.shape) for n, Z, x, u in first] == [
+        (1, (2, 2, 1, 1), (2, 3, 1), (2, 3, 1)),
+        (2, (3, 2, 2, 2), (3, 3, 2), (3, 3, 2)),
+    ]
+
+
+def test_kernel_probes_are_read_only():
+    for _, Z, x, u in _kernel_probes(2, 2, 2024):
+        for a in (Z, x, u):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+@pytest.mark.parametrize("d, m", [(1, 3), (2, 2), (3, 2)])
+def test_model_verify_seed_moves_the_probes(d, m):
+    # another seed gives other probes and another kernel residual, and both
+    # match the looped oracle
+    T = random_contraction(70 + d, d, m, norm=0.7)
+    N = 4
+    space, _ = _model_space(T, N, DEFAULT_TOL)
+    X = gleason_extremal(space)
+    resid = {}
+    for seed in (7, 2024):
+        resid[seed] = model_verify(T, N, seed=seed)["kernel_identity_residual"]
+        assert abs(resid[seed] - looped_kernel_residual(space, X, seed)) <= 1e-14
+    assert resid[7] != resid[2024]
+
+
+def test_kernel_vector_is_a_stacked_column():
+    # kernel_vector at one point is that point's column of the stacked
+    # coordinates, mapped to the ambient space
+    T = random_contraction(5, 2, 3, norm=0.7)
+    space, _ = _model_space(T, 3, DEFAULT_TOL)
+    p = space.ambient.coeff_dim
+    _, Z, x, u = _kernel_probes(2, p, 9)[1]
+    coords = _kernel_coords(space, Z, x, u)
+    g = np.eye(p)[1]
+    for i in range(len(Z)):
+        point = MatrixTuple(tuple(Z[i]))
+        kv = kernel_vector(space, point, g, x[i], u[i])
+        assert np.array_equal(kv, space.range_frame @ (coords[i] @ g))

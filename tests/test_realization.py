@@ -44,12 +44,22 @@ def test_colligation_validation():
 
 
 def test_colligation_norm_computed_on_first_use():
-    # the column [T_1*; ...; T_d*] of the Julia colligation has T's row norm
-    T = random_contraction(3, 2, 3, norm=0.8)
-    c = julia_matrix(T)
+    # a literal colligation takes the norm of [A_1; ...; A_d] on first use
+    c = Colligation(
+        A=(0.48 * np.eye(2), 0.64 * np.eye(2)),
+        B=(np.ones((2, 1)), np.zeros((2, 1))),
+        C=np.ones((1, 2)),
+        D=np.zeros((1, 1)),
+    )
     assert "A_norm" not in vars(c)
     assert abs(c.A_norm - 0.8) <= 1e-14
     assert vars(c)["A_norm"] == c.A_norm
+    # the column [T_1*; ...; T_d*] of the Julia colligation has T's row
+    # norm, set when it is built from the SVD that T took
+    T = random_contraction(3, 2, 3, norm=0.8)
+    c = julia_matrix(T)
+    assert vars(c)["A_norm"] == T.row_svd[1][0]
+    assert abs(c.A_norm - 0.8) <= 1e-14
 
 
 def test_transfer_matches_taylor_on_nilpotent_point():
