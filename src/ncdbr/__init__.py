@@ -41,7 +41,6 @@ from .ncspace import (
 from .numerics import (
     Tolerance,
     orthonormal_range,
-    pinv,
     psd_sqrt,
 )
 from .realization import (

@@ -6,8 +6,8 @@ SchurSampler, which records the coefficient-space dimensions and a
 provenance tag and evaluates in the fixed tensor layout: a value at a
 level-n point is an (output_dim*n) x (input_dim*n) matrix whose (p, q)
 coefficient block has size output_dim x input_dim.  One operator Moebius
-map, in a form that inverts no defect, serves moebius, moebius_inv
-(M_a^{-1} = M_{-a}) and frostman_shift.
+map, which inverts no defect and roots both from one SVD of a, serves
+moebius, moebius_inv (M_a^{-1} = M_{-a}) and frostman_shift.
 """
 
 from dataclasses import dataclass
@@ -29,8 +29,8 @@ from .ncspace import (
     sample_ball_point,
     zero_tuple,
 )
-from .numerics import DEFAULT_TOL, _ill_condition, _svd_rank, orthonormal_range, pinv
-from .numerics import psd_sqrt
+from .numerics import DEFAULT_TOL, _as_complex, _defect_roots, _ill_condition, _svd_rank
+from .numerics import orthonormal_range
 from .realization import Colligation, transfer_eval, transfer_values
 from .rowcontraction import _isometric_part, canonical_frames, julia_matrix
 
@@ -179,14 +179,13 @@ def popescu_char(T, tol=DEFAULT_TOL):
 
 
 def _moebius_defects(alpha, tol):
-    # psd_sqrt zeroes defect eigenvalues at or below rank_rel, so alpha
-    # must keep 1 - ||alpha||^2 above it for D_a to be invertible
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.size and 1.0 - np.linalg.norm(alpha, 2) ** 2 <= tol.rank_rel:
+    """(alpha, D_a, D_{a*}) from one SVD of the checked alpha.  D_a is invertible
+    only if 1 - ||alpha||^2 stays above rank_rel, where the PSD policy zeroes it."""
+    alpha = _as_complex(alpha)
+    svd = np.linalg.svd(alpha)
+    if svd[1].size and 1.0 - svd[1][0] ** 2 <= tol.rank_rel:
         raise NotStrict("alpha must be a strict contraction")
-    D_a = psd_sqrt(np.eye(alpha.shape[1]) - alpha.conj().T @ alpha, tol)
-    D_a_star = psd_sqrt(np.eye(alpha.shape[0]) - alpha @ alpha.conj().T, tol)
-    return alpha, D_a, D_a_star
+    return (alpha, *_defect_roots(svd, tol))
 
 
 def _lift_level(alpha, zeta):
@@ -248,10 +247,12 @@ def xi_map(alpha, beta, tol=DEFAULT_TOL):
 
 
 def theta_map(alpha, beta, tol=DEFAULT_TOL):
-    """Theta factor (beta - a (x) I)(D_a^{-1} (x) I) of the Moebius map."""
+    """Theta factor (beta - a (x) I)(D_a^{-1} (x) I) of the Moebius map: one
+    solve against the lifted D_a, Hermitian and, as alpha is strict, invertible."""
     alpha, D_a, _ = _moebius_defects(alpha, tol)
     ell, beta = _lift_level(alpha, beta)
-    return (beta - coeff_lift(alpha, ell)) @ coeff_lift(pinv(D_a, tol), ell)
+    numer = beta - coeff_lift(alpha, ell)
+    return np.linalg.solve(coeff_lift(D_a, ell), numer.conj().T).conj().T
 
 
 def frostman_shift(B, alpha, tol=DEFAULT_TOL):
@@ -435,14 +436,12 @@ def pure_unitary_split(B, tol=DEFAULT_TOL, sample_points=None):
     unitary subspace at the sampled points.
     """
     b0 = B.at_zero()
-    w_in, Q_in = np.linalg.eigh(b0.conj().T @ b0)
-    w_out, Q_out = np.linalg.eigh(b0 @ b0.conj().T)
-    uni_in = Q_in[:, np.abs(w_in - 1.0) <= 100 * tol.eq_abs]
-    uni_out = Q_out[:, np.abs(w_out - 1.0) <= 100 * tol.eq_abs]
-    pure_in = Q_in[:, np.abs(w_in - 1.0) > 100 * tol.eq_abs]
-    pure_out = Q_out[:, np.abs(w_out - 1.0) > 100 * tol.eq_abs]
-    if uni_in.shape[1] != uni_out.shape[1]:
-        raise ConstancyViolated("unitary eigenspaces have mismatched dimensions")
+    U, s, Wh = np.linalg.svd(b0)
+    # sigma^2 = 1 up to 100 eq_abs is unitary; the rest, zero padding too, pure
+    unitary = np.flatnonzero(np.abs(s**2 - 1.0) <= 100 * tol.eq_abs)
+    split = lambda Q: (Q[:, unitary], np.delete(Q, unitary, 1))
+    uni_in, pure_in = split(Wh.conj().T)
+    uni_out, pure_out = split(U)
     if sample_points is None:
         sample_points = [
             sample_ball_point(B.d, n, 0.6, seed) for n, seed in ((1, 11), (2, 12), (2, 13))

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotCNC, NotContraction, TruncationTooShort
 from .ncspace import _kron_sum, sample_ball_point, words_up_to
-from .numerics import DEFAULT_TOL, orthonormal_range
-from .numerics import _as_complex, _fix_column_phases, _psd_eigenvalues
-from .rowcontraction import _cnc_report, defects
+from .numerics import DEFAULT_TOL, _as_complex, _fix_column_phases, _psd_eigenvalues
+from .rowcontraction import _cnc_report, _defect_star_frame
 
 __all__ = [
     "TruncatedFock",
@@ -67,7 +66,7 @@ def _word_blocks(first, ops, N):
     level = np.asarray(first, dtype=complex)[None]
     levels = [level]
     for _ in range(N):
-        level = (level[:, None] @ ops).reshape(-1, *level.shape[1:])
+        level = (level[:, None] @ ops).reshape(len(level) * len(ops), *level.shape[1:])
         levels.append(level)
     return np.concatenate(levels)
 
@@ -214,13 +213,12 @@ def _model_space(T, N, tol):
     colligation; the block of O_N at word w is F_out* D_T* (T*)^w, the
     Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).
     """
-    # one D_T* serves the CNC check and the model space
-    D_Tstar = defects(T, tol)[1]
-    F_out = orthonormal_range(D_Tstar, tol)
+    # one frame of Ran D_T*, with F_out* D_T* = diag(roots) F_out*, serves both
+    F_out, roots = _defect_star_frame(T, tol)
     if not _cnc_report(T, F_out, tol).is_cnc:
         raise NotCNC("model verification needs a CNC row contraction")
     ambient = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
-    first = F_out.conj().T @ D_Tstar
+    first = roots[:, None] * F_out.conj().T
     O_N = _word_blocks(first, [Tj.conj().T for Tj in T.ops], N).reshape(ambient.total_dim, T.m)
     Q, sigma, _ = np.linalg.svd(O_N, full_matrices=False)
     return _space(ambient, sigma[::-1] ** 2, Q[:, ::-1], tol), O_N
@@ -273,16 +271,14 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
         solved = np.linalg.solve(pencils, rhs).reshape(k, n, space.dim, p)
         via_X = np.einsum("iga,iacg->icg", u.conj(), solved)
         gap = G_half * (via_X - _kernel_coords(space, Z, x, u))
-        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=1).max()))
+        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=1).max(initial=0.0)))
 
-    intertwine_resid = max(
-        float(np.linalg.norm(G_half * (U @ Tj - Xj @ U), 2)) for Tj, Xj in zip(T.ops, X)
-    )
+    mismatch = G_half * (U @ np.stack(T.ops) - np.stack(X) @ U)
     return {
         "N": N,
         "model_dim": space.dim,
         "rank_O_N": space.dim,
-        "frame_residual": float(np.abs(1.0 - sigma2).max()),
-        "intertwine_residual": intertwine_resid,
+        "frame_residual": float(np.abs(1.0 - sigma2).max(initial=0.0)),
+        "intertwine_residual": float(np.linalg.norm(mismatch, 2, axis=(1, 2)).max(initial=0.0)),
         "kernel_identity_residual": kernel_resid,
     }

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra primitives with an explicit tolerance policy.
 
-All higher modules route their rank decisions and square roots through
-this module so that a single pair of cutoffs (relative rank cutoff,
-absolute equality tolerance) governs the whole toolkit.
+All higher modules route their rank decisions and defect roots, each from
+its contraction's one SVD, through this module so that one pair of cutoffs
+(relative rank cutoff, absolute equality tolerance) governs the toolkit.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "psd_sqrt",
-    "pinv",
     "orthonormal_range",
     "stabilized_span",
     "subspace_stable_basis",
@@ -73,6 +72,15 @@ def _psd_root(w, Q, tol):
     return (S + S.conj().T) / 2.0
 
 
+def _defect_roots(svd, tol):
+    """The defects (D_A, D_A*) of a contraction A from its full SVD
+    (U, sigma, W*): W diag(1 - sigma^2)^(1/2) W* and U diag(1 - sigma^2)^(1/2) U*,
+    sigma padded by zeros to each side's length, rooted under the PSD policy."""
+    U, s, Wh = svd
+    w = 1.0 - np.concatenate([s, np.zeros(max(U.shape[0], Wh.shape[0]) - s.size)]) ** 2
+    return _psd_root(w[: Wh.shape[0]], Wh.conj().T, tol), _psd_root(w[: U.shape[0]], U, tol)
+
+
 def _psd_eigenvalues(w, tol):
     """PSD policy on ascending Hermitian eigenvalues: NotPSD below -100*eq_abs,
     else zero every value at or below rank_rel * max(w_max, 1), so that roots
@@ -83,15 +91,6 @@ def _psd_eigenvalues(w, tol):
     w = np.clip(w, 0.0, None)
     w[w <= tol.rank_rel * w.max(initial=1.0)] = 0.0
     return w
-
-
-def pinv(A, tol=DEFAULT_TOL):
-    """Moore-Penrose pseudo-inverse with singular values below
-    rank_rel * sigma_max treated as zero."""
-    A = _as_complex(A)
-    if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
-    return np.linalg.pinv(A, rcond=tol.rank_rel)
 
 
 def _fix_column_phases(B, tol):

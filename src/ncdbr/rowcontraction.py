@@ -9,9 +9,9 @@ import numpy as np
 from .errors import DimensionMismatch, NotContraction, NotFinite, NotPartialIsometry, NotPure
 from .numerics import (
     DEFAULT_TOL,
+    _defect_roots,
+    _fix_column_phases,
     _psd_eigenvalues,
-    _psd_root,
-    orthonormal_range,
     stabilized_span,
     subspace_stable_basis,
 )
@@ -103,12 +103,18 @@ class CncReport:
 
 def defects(T, tol=DEFAULT_TOL):
     """Defect operators (D_T, D_Tstar): PSD square roots of I - T*T (md x md)
-    and I - TT* (m x m).  With the row's SVD U diag(sigma) W* they are
-    W diag(1 - sigma^2)^(1/2) W*, sigma padded by zeros to length md, and
-    U diag(1 - sigma^2)^(1/2) U*."""
-    U, s, Wh = T.row_svd
-    w = 1.0 - np.concatenate([s, np.zeros(Wh.shape[0] - s.size)]) ** 2
-    return _psd_root(w, Wh.conj().T, tol), _psd_root(w[: s.size], U, tol)
+    and I - TT* (m x m), read off the row's SVD by _defect_roots."""
+    return _defect_roots(T.row_svd, tol)
+
+
+def _defect_star_frame(T, tol):
+    """A frame F_out of Ran D_Tstar and roots r with F_out* D_Tstar = diag(r) F_out*:
+    the left singular vectors whose 1 - sigma^2 the PSD policy keeps, largest
+    first (ties in SVD order), with orthonormal_range's phase convention."""
+    U, s, _ = T.row_svd
+    w = _psd_eigenvalues(1.0 - s**2, tol)
+    keep = np.argsort(-w, kind="stable")[: np.count_nonzero(w)]
+    return _fix_column_phases(U[:, keep], tol), np.sqrt(w[keep])
 
 
 def _isometric_part(T, tol):
@@ -132,7 +138,7 @@ def cnc_rank(T, tol=DEFAULT_TOL):
 
     T is completely non-coisometric exactly when this span is everything.
     """
-    return _cnc_report(T, orthonormal_range(defects(T, tol)[1], tol), tol)
+    return _cnc_report(T, _defect_star_frame(T, tol)[0], tol)
 
 
 def _cnc_report(T, seed, tol):

@@ -63,13 +63,18 @@ def spy_decompositions(monkeypatch):
     return calls
 
 
+def same_matrix(A, B):
+    """Whether A and B have one shape and agree entrywise within 1e-12."""
+    return A.shape == B.shape and np.allclose(A, B, atol=1e-12)
+
+
 def decomposes_row(A, T):
     """Whether A is T's row, its adjoint, one of its Grams or one of its
     defects I - T*T and I - TT*."""
     R = T.row()
     grams = (R @ R.conj().T, R.conj().T @ R)
     candidates = (R, R.conj().T) + grams + tuple(np.eye(G.shape[0]) - G for G in grams)
-    return any(A.shape == B.shape and np.allclose(A, B, atol=1e-12) for B in candidates)
+    return any(same_matrix(A, B) for B in candidates)
 
 
 def ball_points(d, count, radius=0.5, seed=100, levels=(1, 2)):

@@ -9,6 +9,7 @@ from conftest import (
     decomposes_row,
     random_contraction,
     random_partial_isometry,
+    same_matrix,
     spy_decompositions,
 )
 from dense_coincidence import dense_unitaries
@@ -28,7 +29,13 @@ from ncdbr.charfn import (
     weak_coincidence_fit,
     xi_map,
 )
-from ncdbr.errors import ConstancyViolated, DimensionMismatch, NotStrict, OutsideBall
+from ncdbr.errors import (
+    ConstancyViolated,
+    DimensionMismatch,
+    NotFinite,
+    NotStrict,
+    OutsideBall,
+)
 from ncdbr.ncspace import (
     MatrixTuple,
     coeff_lift,
@@ -197,6 +204,21 @@ def test_moebius_rejects_non_strict():
     assert abs(moebius(np.array([[1.0 - 1e-9]]), np.array([[0.5]]))[0, 0] + 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_moebius_maps_reject_non_finite_alpha(value):
+    # the input check runs before any decomposition or product, so neither
+    # an untyped LinAlgError nor a RuntimeWarning comes first
+    alpha = np.array([[value, 0.1]])
+    for f in (moebius, moebius_inv, xi_map, theta_map):
+        with pytest.raises(NotFinite):
+            f(alpha, np.zeros((1, 2)))
+    B = char_fn(random_contraction(23, 2, 3))
+    bad = np.zeros(B.at_zero().shape, dtype=complex)
+    bad[0, -1] = value
+    with pytest.raises(NotFinite):
+        frostman_shift(B, bad)
+
+
 def test_frostman_fixed_point():
     for seed in range(4):
         T = random_contraction(seed, 1 + seed % 3, 2 + seed % 2)
@@ -294,20 +316,19 @@ def _frostman_case(seed, norm):
 
 
 def test_frostman_takes_no_pinv_and_two_solves_per_value(monkeypatch):
-    import ncdbr.numerics
-
+    # charfn roots no defect itself and inverts none by a pseudo-inverse:
+    # the build and the values run no eigh and no psd_sqrt
+    assert not hasattr(charfn_module, "pinv") and not hasattr(charfn_module, "psd_sqrt")
     B, alpha = _frostman_case(21, 0.7)
     points = ball_points(2, 4, radius=0.6, seed=71, levels=(1, 2, 3))
-    pinvs, solves = [], []
+    solves = []
     solve = np.linalg.solve
 
     def counted_solve(a, b):
         solves.append(a.shape)
         return solve(a, b)
 
-    for module in (charfn_module, ncdbr.numerics):
-        real = module.pinv
-        monkeypatch.setattr(module, "pinv", lambda *a, real=real: pinvs.append(a) or real(*a))
+    calls = spy_decompositions(monkeypatch)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     shifted = frostman_shift(B, alpha)
     for Z in points:
@@ -317,7 +338,14 @@ def test_frostman_takes_no_pinv_and_two_solves_per_value(monkeypatch):
         solves.clear()
         shifted(Z)
         assert len(solves) == own + 2
-    assert not pinvs
+    assert not [name for name, _, _ in calls if name in ("psd_sqrt", "eigh")]
+    # each map of the Moebius calculus takes one SVD, of its alpha, and no other
+    zeta = B(points[0])
+    for f, sign in ((moebius, 1), (moebius_inv, -1), (xi_map, 1), (theta_map, 1)):
+        calls.clear()
+        f(alpha, zeta)
+        assert [(name, caller) for name, _, caller in calls] == [("svd", "_moebius_defects")]
+        assert np.array_equal(calls[0][1], sign * alpha)
 
 
 def test_frostman_at_zero_alpha_is_one_moebius_map():
@@ -784,7 +812,7 @@ def _block_sampler(b, U):
     return SchurSampler(d=b.d, input_dim=q + u, output_dim=p + u, evaluator=ev, tag="blk")
 
 
-def test_pure_unitary_split_cases(rng):
+def test_pure_unitary_split_cases(monkeypatch, rng):
     # strictly contractive: no unitary part
     T = random_contraction(13, 2, 3)
     (pure_in, pure_out), (uni_in, uni_out) = pure_unitary_split(char_fn(T))
@@ -803,6 +831,26 @@ def test_pure_unitary_split_cases(rng):
     assert uni_in.shape[1] == 2 and uni_out.shape[1] == 2
     assert pure_in.shape[1] == B.input_dim - 2
     assert pure_out.shape[1] == B.output_dim - 2
+    # a non-square B(0) = [U, 0; 0, b] with a 2-dimensional unitary part:
+    # the unitary output part is B(0) on the unitary input part, and the
+    # pure parts, the zero-padded directions included, complete them
+    b = np.array([[0.3, 0.2, -0.1]])
+    b0 = np.block([[U, np.zeros((2, 3))], [np.zeros((1, 2)), b]])
+    const = SchurSampler(
+        d=1, input_dim=5, output_dim=3, evaluator=lambda Z: coeff_lift(b0, Z.n), tag="c"
+    )
+    (pure_in, pure_out), (uni_in, uni_out) = pure_unitary_split(const)
+    assert uni_in.shape == (5, 2) and uni_out.shape == (3, 2)
+    assert pure_in.shape == (5, 3) and pure_out.shape == (3, 1)
+    assert np.abs(uni_out - b0 @ uni_in).max() <= 1e-12
+    for uni, pure in ((uni_in, pure_in), (uni_out, pure_out)):
+        Q = np.hstack([uni, pure])
+        assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+    # one SVD of B(0) and no eigh; the other SVDs are the point checks
+    calls = spy_decompositions(monkeypatch)
+    pure_unitary_split(const)
+    assert all(name == "svd" for name, _, _ in calls)
+    assert sum(np.array_equal(A, b0) for _, A, _ in calls) == 1
 
 
 def test_pure_unitary_split_flags_nonconstant():
@@ -862,7 +910,8 @@ def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
     # off the SVD that T took when it was built.  The isometric part V
     # takes its own SVD when it is built, and the pure part C is not built;
     # nothing is rooted by psd_sqrt or eigh, and nothing else decomposes
-    # T's row, its Grams or its defects.
+    # T's row, its Grams or its defects.  D_T* itself is decomposed only by
+    # popescu_char, whose output frame is orthonormal_range(D_T*).
     V = random_partial_isometry(70 + rank, 2, 3, rank)
     frames = canonical_frames(V)
     shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
@@ -870,14 +919,18 @@ def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
     delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     T = reconstruct(V, 0.6 * delta / np.linalg.norm(delta, 2))
     V_row = iso_pure_decompose(T).V.row()
+    D_Tstar = defects(T)[1]
     calls = spy_decompositions(monkeypatch)
     char_fn(T)
-    popescu_char(T)
+    char_fn_partial_isometry(V)
     cnc_rank(T)
+    own = len(calls)
+    popescu_char(T)
     constructed = [A for _, A, caller in calls if caller == "__post_init__"]
     assert len(constructed) == 1 and np.array_equal(constructed[0], V_row)
     assert not [name for name, _, _ in calls if name in ("psd_sqrt", "eigh")]
     assert not any(decomposes_row(A, T) for _, A, c in calls if c != "__post_init__")
+    assert not any(same_matrix(A, D_Tstar) for _, A, _ in calls[:own])
 
 
 @pytest.mark.parametrize("build", [char_fn, popescu_char, char_fn_partial_isometry])
@@ -895,37 +948,32 @@ def test_values_read_the_row_norm_of_t(monkeypatch, build):
     B = build(T)
     values = [B(Z) for Z in points] + B.values(points)
     assert not any(decomposes_row(A, T) for name, A, _ in calls if name == "svd")
+    assert not [name for name, _, _ in calls if name in ("psd_sqrt", "eigh")]
     monkeypatch.undo()
     assert all(np.array_equal(v, w) for v, w in zip(values, want + want))
 
 
 def test_frostman_values_reuse_hoisted_defects(monkeypatch):
-    import ncdbr.charfn
-
     T = random_contraction(8, 2, 3)
     B = char_fn(T)
     b0 = B.at_zero()
     rng = np.random.default_rng(9)
     alpha = rng.standard_normal(b0.shape) + 1j * rng.standard_normal(b0.shape)
     alpha *= 0.4 / np.linalg.norm(alpha, 2)
-    calls = []
-
-    def counting(f):
-        def wrapped(*args, **kwargs):
-            calls.append(f.__name__)
-            return f(*args, **kwargs)
-
-        return wrapped
-
-    for name in ("psd_sqrt", "pinv"):
-        monkeypatch.setattr(ncdbr.charfn, name, counting(getattr(ncdbr.charfn, name)))
-    # the defects are built with the sampler, and never again per value
+    calls = spy_decompositions(monkeypatch)
+    # the build takes one SVD per Moebius map, of B(0) and of -alpha,
+    # besides the row-norm check of B(0)'s point
     shifted = frostman_shift(B, alpha)
-    assert calls
+    build = [(caller, A) for name, A, caller in calls if caller != "row_norm"]
+    assert [caller for caller, _ in build] == ["_moebius_defects"] * 2
+    assert np.array_equal(build[0][1], b0) and np.array_equal(build[1][1], -alpha)
+    assert all(name == "svd" for name, _, _ in calls)
+    # the defects are built with the sampler, and never again per value:
+    # only the points' row-norm checks decompose anything
     calls.clear()
     points = ball_points(2, 4, radius=0.6, seed=70, levels=(1, 2, 3))
     values = [shifted(Z) for Z in points]
-    assert not calls
+    assert calls and all(name == "svd" and c == "row_norm" for name, _, c in calls)
     monkeypatch.undo()
     for Z, value in zip(points, values):
         want = moebius_inv(alpha, moebius(b0, B(Z)))

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import decomposes_row, random_contraction, spy_decompositions
+from conftest import decomposes_row, random_contraction, same_matrix, spy_decompositions
 from dense_fock import mult_operator, shifts, transpose_unitary
 from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
 from ncdbr.fock import (
@@ -26,7 +26,7 @@ from ncdbr.ncspace import (
     word_apply,
     words_up_to,
 )
-from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, pinv, psd_sqrt
+from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, psd_sqrt
 from ncdbr.realization import taylor_coeff
 from ncdbr.rowcontraction import RowContraction, defects, julia_matrix
 
@@ -114,7 +114,7 @@ def _four_step_space(B_L):
     lifted through the root's pseudo-inverse."""
     factor = psd_sqrt(np.eye(B_L.shape[0]) - B_L @ B_L.conj().T)
     frame = orthonormal_range(factor)
-    lift = pinv(factor) @ frame
+    lift = np.linalg.pinv(factor, rcond=1e-10) @ frame
     return frame, lift.conj().T @ lift
 
 
@@ -357,16 +357,26 @@ def test_model_verify_rejects_non_cnc():
 
 @pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2)])
 def test_model_verify_roots_one_defect(monkeypatch, d, m):
-    # the CNC check and the model space share one D_T*, read off the SVD
-    # that T took when it was built: nothing is rooted, no eigh runs, and
-    # T's row is not decomposed again
+    # the CNC check and the model space share one frame of Ran D_T*, read
+    # off the SVD that T took when it was built: nothing is rooted, no eigh
+    # runs, and neither T's row nor D_T* itself is decomposed
     T = random_contraction(40 + d, d, m, norm=0.8)
+    D_Tstar = defects(T)[1]
     calls = spy_decompositions(monkeypatch)
     rep = model_verify(T, 3)
     assert [c for c in calls if c[0] in ("psd_sqrt", "eigh")] == []
-    assert not any(decomposes_row(A, T) for _, A, _ in calls)
+    assert not any(decomposes_row(A, T) or same_matrix(A, D_Tstar) for _, A, _ in calls)
     monkeypatch.undo()
     assert rep == model_verify(T, 3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_model_verify_of_the_empty_contraction(d):
+    # m = 0: the model space is empty, and every residual is zero
+    rep = model_verify(RowContraction((np.zeros((0, 0)),) * d), 3)
+    assert rep["model_dim"] == rep["rank_O_N"] == 0
+    for key in ("frame_residual", "intertwine_residual", "kernel_identity_residual"):
+        assert rep[key] == 0.0, key
 
 
 def jordan(m):

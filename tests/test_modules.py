@@ -1,0 +1,45 @@
+"""Static checks of the library modules: every imported name is used, and
+every name in __all__ is defined at the module's top level."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ncdbr"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_are_used_and_exports_are_defined(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exports = _exports(tree)
+    assert sorted(imported - used - set(exports)) == []
+    assert sorted(set(exports) - _top_level_names(tree) - imported) == []

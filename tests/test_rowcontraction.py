@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_contraction, random_partial_isometry
@@ -14,7 +14,7 @@ from ncdbr.errors import (
     NotPure,
 )
 from ncdbr.fock import TruncatedFock, dbr_space
-from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, pinv, psd_sqrt
+from ncdbr.numerics import DEFAULT_TOL, _defect_roots, orthonormal_range, psd_sqrt
 from ncdbr.rowcontraction import (
     RowContraction,
     canonical_frames,
@@ -230,16 +230,44 @@ def _sample(kind, d, m, seed):
 KINDS = st.sampled_from(["zero", "unitary", "coisometric", "strict", "mix"])
 
 
+def _alpha_case(R, d, m, seed):
+    """A contraction alpha for the defect primitive, by seed % 6: the shapes
+    (0, 2) and (2, 0), alpha = 0, a partial isometry with sigma = 1 exactly,
+    a random alpha of norm 0.9999, and a column block of T's row."""
+    rng = np.random.default_rng(seed)
+    case = seed % 6
+    if case < 2:
+        return np.zeros(((0, 2), (2, 0))[case])
+    if case == 2:
+        return np.zeros((m, m + d))
+    if case == 3:
+        return np.eye(m, m + d, k=d)
+    if case == 4:
+        alpha = rng.standard_normal((m + d, m)) + 1j * rng.standard_normal((m + d, m))
+        return 0.9999 * alpha / np.linalg.norm(alpha, 2)
+    return R[:, : seed % (R.shape[1] + 1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(KINDS, st.integers(1, 3), st.integers(1, 5), st.integers(0, 10_000))
+@example("strict", 2, 3, 0)
+@example("strict", 2, 3, 1)
+@example("zero", 1, 2, 2)
+@example("mix", 3, 2, 3)
+@example("strict", 1, 4, 4)
+@example("coisometric", 2, 3, 5)
 def test_defects_match_psd_sqrt_oracle(kind, d, m, seed):
     # psd_sqrt of the defect matrices is the reference for the roots read
-    # off the row's SVD
+    # off the row's SVD, and for the primitive on a non-square alpha
     T = _sample(kind, d, m, seed)
     R = T.row()
     D_T, D_Tstar = defects(T)
     assert np.abs(D_T - psd_sqrt(np.eye(R.shape[1]) - R.conj().T @ R)).max() <= 1e-13
     assert np.abs(D_Tstar - psd_sqrt(np.eye(R.shape[0]) - R @ R.conj().T)).max() <= 1e-13
+    alpha = _alpha_case(R, d, m, seed)
+    D_a, D_a_star = _defect_roots(np.linalg.svd(alpha), DEFAULT_TOL)
+    for D, G in ((D_a, alpha.conj().T @ alpha), (D_a_star, alpha @ alpha.conj().T)):
+        assert np.abs(D - psd_sqrt(np.eye(len(G)) - G)).max(initial=0.0) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,7 +326,7 @@ def test_typed_errors_for_non_contractions_and_non_finite_input():
     bad = np.eye(2, dtype=complex)
     for value in (np.nan, np.inf):
         bad[1, 0] = value
-        for fn in (psd_sqrt, orthonormal_range, pinv):
+        for fn in (psd_sqrt, orthonormal_range):
             with pytest.raises(NotFinite):
                 fn(bad)
         with pytest.raises(NotFinite):
