@@ -204,81 +204,81 @@ def _kernel_probes(d, p, seed):
     return tuple(probes)
 
 
-def _model_space(T, N, tol):
-    """The truncated model space of T and its observability map O_N, laid
-    out (W p) x m, from one thin SVD of O_N; raises NotCNC first when T is
-    not CNC.
-
-    I - B_L B_L* = O_N O_N* for the truncated multiplier B_L of the Julia
-    colligation; the block of O_N at word w is F_out* D_T* (T*)^w, the
-    Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).
-    """
-    # one frame of Ran D_T*, with F_out* D_T* = diag(roots) F_out*, serves both
-    F_out, roots = _defect_star_frame(T, tol)
-    if not _cnc_report(T, F_out, tol).is_cnc:
-        raise NotCNC("model verification needs a CNC row contraction")
-    ambient = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
-    first = roots[:, None] * F_out.conj().T
-    O_N = _word_blocks(first, [Tj.conj().T for Tj in T.ops], N).reshape(ambient.total_dim, T.m)
-    Q, sigma, _ = np.linalg.svd(O_N, full_matrices=False)
-    return _space(ambient, sigma[::-1] ** 2, Q[:, ::-1], tol), O_N
-
-
 def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     """Check that T is unitarily equivalent to the extremal Gleason tuple
     X of the truncated model space built from its characteristic function.
 
-    The unitary is the truncated NC resolvent D_T* [I - Z T*]^(-1), in
-    range-frame coordinates U = F* O_N, so U* G U = I by construction.
-    The report holds rank_O_N (m; below m the truncation has not reached
-    all of H and TruncationTooShort is raised), and three residuals that
-    decay geometrically in N: frame_residual ||I - O_N* O_N||, which is
-    ||sum_{|w|=N+1} T^w T^w*||; intertwine_residual
-    max_j ||G^(1/2) (U T_j - X_j U)||; and kernel_identity_residual, the
-    largest gap in (I - Z X*)^(-1) K_0 g = K^B{Z, g (x) x, u} over five
-    seeded probes (Z, x, u), which does not involve U.  The probes are
-    constants of (d, p, seed), drawn once per process and kept read-only;
-    the check makes one stacked X-pencil solve per probe level, with one
-    Szego recursion over that level's points.
+    The unitary is the truncated NC resolvent h -> D_T* [I - Z T*]^(-1) h,
+    and every field is read off m x m matrices: the Gram of its observability
+    map, G_N = O_N* O_N = P_0 + ... + P_N with P_0 = D_T*^2 and
+    P_k = sum_j T_j P_(k-1) T_j*, and E = P_N G_N^(-1).  In range-frame
+    coordinates U = F* O_N, G^(1/2) U is unitary and X_j = U T~_j U^(-1) with
+    T~_j = T_j (I - E).  The report holds rank_O_N, the rank of G_N (m; below
+    m the truncation has not reached all of H and TruncationTooShort is
+    raised), and three residuals that decay geometrically in N:
+    frame_residual ||I - G_N||, which is ||sum_{|w|=N+1} T^w T^w*||;
+    intertwine_residual max_j ||G^(1/2) (U T_j - X_j U)|| = max_j ||T_j E||;
+    and kernel_identity_residual, the largest gap in
+    (I - Z X*)^(-1) K_0 g = K^B{Z, g (x) x, u} over five seeded probes
+    (Z, x, u).  In T's coordinates K_0 g is f_g = F_out diag(roots) e_g and
+    the kernel vector is T's truncated resolvent at x (x) f_g, so the gap is
+    the norm of (u* (x) I) [(I - sum_j Z_j* (x) T~_j)^(-1) - S_N] (x (x) f_g)
+    with S_N = sum_{k<=N} (sum_j Z_j* (x) T_j)^k.  The probes are constants
+    of (d, p, seed), drawn once per process and kept read-only; per level the
+    check forms one kron sum of T, multiplies by it N times and makes one
+    stacked solve of the T~ pencils.
 
     For a scalar strict contraction T = r the model space is spanned by
     k_N = (1, r, ..., r^N), X = r - r^(2N+1) (1 - r^2)/(1 - r^(2N+2)), and
     the intertwining residual is exactly r^(2N+1) (1 - r^2)/(1 - r^(2N+2)).
     """
-    space, O_N = _model_space(T, N, tol)
-    if space.dim < T.m:
+    # one frame of Ran D_T*, with F_out* D_T* = diag(roots) F_out*, serves both
+    F_out, roots = _defect_star_frame(T, tol)
+    if not _cnc_report(T, F_out, tol).is_cnc:
+        raise NotCNC("model verification needs a CNC row contraction")
+    row = T.row()
+    star = row.conj().T.reshape(T.d, T.m, T.m)
+    # P_k is the Gram of O_N's blocks at the words of length k
+    P = (F_out * roots**2) @ F_out.conj().T
+    G = P
+    for _ in range(N):
+        # sum_j T_j P T_j* = [T_1 ... T_d] [P T_1*; ...; P T_d*]
+        P = row @ (P @ star).reshape(T.d * T.m, T.m)
+        G = G + P
+    lam = _psd_eigenvalues(np.linalg.eigvalsh(G), tol)
+    rank = int(np.count_nonzero(lam))
+    if rank < T.m:
         raise TruncationTooShort(
-            "rank O_N = %d is below m = %d at N = %d; raise N" % (space.dim, T.m, N)
+            "rank O_N = %d is below m = %d at N = %d; raise N" % (rank, T.m, N)
         )
-    F = space.range_frame
-    p = space.ambient.coeff_dim
-    sigma2 = 1.0 / space.gram.diagonal()
-    G_half = np.sqrt(space.gram.diagonal())[:, None]
-    X = gleason_extremal(space)
-    U = F.conj().T @ O_N
+    # E = P_N G_N^-1 = (G_N^-1 P_N)*, as G_N and P_N are Hermitian
+    E = np.linalg.solve(G, P).conj().T
+    intertwine = np.linalg.svd(E.conj().T @ star, compute_uv=False)
+    I_E = np.eye(T.m) - E
 
-    # K_0 g = (I - B(L) B(L)*) g at the empty word, for the basis vectors g
-    K0 = sigma2[:, None] * F[:p].conj().T
+    f, p = F_out * roots, roots.size
     kernel_resid = 0.0
     for n, Z, x, u in _kernel_probes(T.d, p, seed):
-        k, size = len(Z), n * space.dim
-        # the k X-pencils from one kron sum on the stacked Z^i*, since
-        # kron([Z^1*; Z^2*], X_j) = [kron(Z^1*, X_j); kron(Z^2*, X_j)]
+        k, size = len(Z), n * T.m
+        # the k kron sums sum_j Z^i_j* (x) T_j from one kron sum on the
+        # stacked Z^i*, since kron([Z^1*; Z^2*], T_j) = [kron(Z^1*, T_j); ...]
         Zstar = Z.conj().transpose(1, 0, 3, 2).reshape(T.d, k * n, n)
-        pencils = np.eye(size) - _kron_sum(Zstar, X).reshape(k, size, size)
-        # right-hand side x_g (x) K_0 g per column, one solve per level
-        rhs = np.einsum("iga,cg->iacg", x, K0).reshape(k, size, p)
-        solved = np.linalg.solve(pencils, rhs).reshape(k, n, space.dim, p)
-        via_X = np.einsum("iga,iacg->icg", u.conj(), solved)
-        gap = G_half * (via_X - _kernel_coords(space, Z, x, u))
+        K = _kron_sum(Zstar, T.ops).reshape(k, size, size)
+        pencils = np.eye(size) - (K.reshape(k, n, T.m, n, T.m) @ I_E).reshape(k, size, size)
+        # right-hand side x_g (x) f_g per column, one solve per level
+        rhs = np.einsum("iga,cg->iacg", x, f).reshape(k, size, p)
+        series = rhs
+        for _ in range(N):
+            series = rhs + K @ series
+        gap = (np.linalg.solve(pencils, rhs) - series).reshape(k, n, T.m, p)
+        gap = np.einsum("iga,iacg->icg", u.conj(), gap)
         kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=1).max(initial=0.0)))
 
-    mismatch = G_half * (U @ np.stack(T.ops) - np.stack(X) @ U)
     return {
         "N": N,
-        "model_dim": space.dim,
-        "rank_O_N": space.dim,
-        "frame_residual": float(np.abs(1.0 - sigma2).max(initial=0.0)),
-        "intertwine_residual": float(np.linalg.norm(mismatch, 2, axis=(1, 2)).max(initial=0.0)),
+        "model_dim": rank,
+        "rank_O_N": rank,
+        "frame_residual": float(np.abs(1.0 - lam).max(initial=0.0)),
+        "intertwine_residual": float(intertwine.max(initial=0.0)),
         "kernel_identity_residual": kernel_resid,
     }

@@ -142,9 +142,9 @@ def cnc_rank(T, tol=DEFAULT_TOL):
 
 
 def _cnc_report(T, seed, tol):
-    """cnc_rank from an orthonormal frame seed of Ran D_Tstar."""
-    if seed.shape[1] == 0:
-        return CncReport(dim=0, is_cnc=(T.m == 0), stabilized_at=0)
+    """cnc_rank from an orthonormal frame seed of Ran D_Tstar; rank 0 or m needs no span."""
+    if seed.shape[1] in (0, T.m):
+        return CncReport(dim=seed.shape[1], is_cnc=(seed.shape[1] == T.m), stabilized_at=0)
     frame, steps = stabilized_span(T.ops, seed, tol)
     return CncReport(dim=frame.shape[1], is_cnc=(frame.shape[1] == T.m), stabilized_at=steps)
 

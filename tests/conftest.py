@@ -35,10 +35,10 @@ def random_partial_isometry(seed, d, m, rank):
 
 
 def spy_decompositions(monkeypatch):
-    """Record each np.linalg.svd and np.linalg.eigh call, each matrix 2-norm
-    taken by np.linalg.norm (an SVD that np.linalg.svd does not see) as an
-    svd, and each psd_sqrt call through an ncdbr module, as (name, argument,
-    caller's name)."""
+    """Record each np.linalg.svd, np.linalg.eigh and np.linalg.eigvalsh call,
+    each matrix 2-norm taken by np.linalg.norm (an SVD that np.linalg.svd
+    does not see) as an svd, and each psd_sqrt call through an ncdbr module,
+    as (name, argument, caller's name)."""
     calls = []
 
     def spy(name, fn):
@@ -55,7 +55,7 @@ def spy_decompositions(monkeypatch):
 
     matrix_norm = np.linalg.norm
     monkeypatch.setattr(np.linalg, "norm", norm)
-    for name in ("svd", "eigh"):
+    for name in ("svd", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     for modname, module in list(sys.modules.items()):
         if modname.startswith("ncdbr") and getattr(module, "psd_sqrt", None) is psd_sqrt:

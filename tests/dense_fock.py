@@ -1,14 +1,26 @@
 """Dense reference operators on the truncated free Hardy space: the shift
-matrices, the word transpose and truncated left multiplication.
+matrices, the word transpose, truncated left multiplication, and the model
+space of a row contraction built over its words.
 
-The library builds its model space from the observability map and never
-forms these (W*p) x (W*q) matrices; the tests use them as an oracle.
+The library checks the model theorem in T's own m-dimensional coordinates
+and never forms these (W*p) x (W*q) matrices or the (W*p) x m observability
+map; the tests use them as an oracle.
 """
 
 import numpy as np
 
-from ncdbr.errors import DimensionMismatch
-from ncdbr.ncspace import FreeWord
+from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
+from ncdbr.fock import (
+    TruncatedFock,
+    _kernel_coords,
+    _kernel_probes,
+    _space,
+    _word_blocks,
+    gleason_extremal,
+)
+from ncdbr.ncspace import FreeWord, _kron_sum
+from ncdbr.numerics import DEFAULT_TOL
+from ncdbr.rowcontraction import _cnc_report, _defect_star_frame
 
 
 def _word_matrix(f, mapper):
@@ -66,3 +78,62 @@ def mult_operator(coeffs, f):
             row = f.word_index[u]
             out[row * K : (row + 1) * K, col * J : (col + 1) * J] += c
     return out
+
+
+def _model_space(T, N, tol):
+    """The truncated model space of T and its observability map O_N, laid
+    out (W p) x m, from one thin SVD of O_N; raises NotCNC first when T is
+    not CNC.
+
+    I - B_L B_L* = O_N O_N* for the truncated multiplier B_L of the Julia
+    colligation; the block of O_N at word w is F_out* D_T* (T*)^w, the
+    Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).
+    """
+    # one frame of Ran D_T*, with F_out* D_T* = diag(roots) F_out*, serves both
+    F_out, roots = _defect_star_frame(T, tol)
+    if not _cnc_report(T, F_out, tol).is_cnc:
+        raise NotCNC("model verification needs a CNC row contraction")
+    ambient = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
+    first = roots[:, None] * F_out.conj().T
+    O_N = _word_blocks(first, [Tj.conj().T for Tj in T.ops], N).reshape(ambient.total_dim, T.m)
+    Q, sigma, _ = np.linalg.svd(O_N, full_matrices=False)
+    return _space(ambient, sigma[::-1] ** 2, Q[:, ::-1], tol), O_N
+
+
+def word_route_report(T, N, tol=DEFAULT_TOL, seed=2024):
+    """model_verify's report computed over the words: the model space from
+    O_N's SVD, X from gleason_extremal, U = F* O_N, and the kernel identity
+    against the Szego vectors' range-frame coordinates, with the same
+    probes, raises and messages."""
+    space, O_N = _model_space(T, N, tol)
+    if space.dim < T.m:
+        raise TruncationTooShort(
+            "rank O_N = %d is below m = %d at N = %d; raise N" % (space.dim, T.m, N)
+        )
+    F = space.range_frame
+    p = space.ambient.coeff_dim
+    sigma2 = 1.0 / space.gram.diagonal()
+    G_half = np.sqrt(space.gram.diagonal())[:, None]
+    X = gleason_extremal(space)
+    U = F.conj().T @ O_N
+    # K_0 g = (I - B(L) B(L)*) g at the empty word, for the basis vectors g
+    K0 = sigma2[:, None] * F[:p].conj().T
+    kernel_resid = 0.0
+    for n, Z, x, u in _kernel_probes(T.d, p, seed):
+        k, size = len(Z), n * space.dim
+        Zstar = Z.conj().transpose(1, 0, 3, 2).reshape(T.d, k * n, n)
+        pencils = np.eye(size) - _kron_sum(Zstar, X).reshape(k, size, size)
+        rhs = np.einsum("iga,cg->iacg", x, K0).reshape(k, size, p)
+        solved = np.linalg.solve(pencils, rhs).reshape(k, n, space.dim, p)
+        via_X = np.einsum("iga,iacg->icg", u.conj(), solved)
+        gap = G_half * (via_X - _kernel_coords(space, Z, x, u))
+        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=1).max(initial=0.0)))
+    mismatch = G_half * (U @ np.stack(T.ops) - np.stack(X) @ U)
+    return {
+        "N": N,
+        "model_dim": space.dim,
+        "rank_O_N": space.dim,
+        "frame_residual": float(np.abs(1.0 - sigma2).max(initial=0.0)),
+        "intertwine_residual": float(np.linalg.norm(mismatch, 2, axis=(1, 2)).max(initial=0.0)),
+        "kernel_identity_residual": kernel_resid,
+    }

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import decomposes_row, random_contraction, same_matrix, spy_decompositions
-from dense_fock import mult_operator, shifts, transpose_unitary
+from dense_fock import (
+    _model_space,
+    mult_operator,
+    shifts,
+    transpose_unitary,
+    word_route_report,
+)
 from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
 from ncdbr.fock import (
     TruncatedFock,
     _kernel_coords,
     _kernel_probes,
-    _model_space,
     _word_blocks,
     dbr_space,
     eval_vector,
@@ -359,12 +364,14 @@ def test_model_verify_rejects_non_cnc():
 def test_model_verify_roots_one_defect(monkeypatch, d, m):
     # the CNC check and the model space share one frame of Ran D_T*, read
     # off the SVD that T took when it was built: nothing is rooted, no eigh
-    # runs, and neither T's row nor D_T* itself is decomposed
+    # runs, and neither T's row nor D_T* itself is decomposed; the rank
+    # comes from one eigvalsh of the m x m Gram G_N
     T = random_contraction(40 + d, d, m, norm=0.8)
     D_Tstar = defects(T)[1]
     calls = spy_decompositions(monkeypatch)
     rep = model_verify(T, 3)
     assert [c for c in calls if c[0] in ("psd_sqrt", "eigh")] == []
+    assert [A.shape for name, A, _ in calls if name == "eigvalsh"] == [(m, m)]
     assert not any(decomposes_row(A, T) or same_matrix(A, D_Tstar) for _, A, _ in calls)
     monkeypatch.undo()
     assert rep == model_verify(T, 3)
@@ -456,27 +463,89 @@ def test_model_verify_matches_looped_oracle(d, m):
 
 @pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2)])
 def test_model_verify_solves_once_per_level(monkeypatch, d, m):
-    # one stacked X-pencil solve per probe level: the two level-1 and the
-    # three level-2 points, with the p kernel right-hand sides as columns;
-    # no pencil in T and no fitted unitary
+    # one m x m solve for E = P_N G_N^-1, then one stacked pencil solve per
+    # probe level: the two level-1 and the three level-2 points, with the p
+    # kernel right-hand sides as columns.  Each level takes one kron sum,
+    # of T itself; the pencil is I - that kron sum times I (x) (I - E), and
+    # T's kron sum is multiplied, never solved against.  No pinv is taken.
     T = random_contraction(50 + d, d, m, norm=0.8)
     solves = []
     kron_sums = []
     solve = np.linalg.solve
     fock = sys.modules["ncdbr.fock"]
     kron_sum = fock._kron_sum
-    monkeypatch.setattr(np.linalg, "solve", lambda A, b: solves.append(b.shape) or solve(A, b))
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda A, b: solves.append((np.array(A), b.shape)) or solve(A, b)
+    )
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: pytest.fail("pinv called"))
     monkeypatch.setattr(
-        fock, "_kron_sum", lambda L, R: kron_sums.append(R) or kron_sum(L, R)
+        fock, "_kron_sum", lambda L, R: kron_sums.append((R, kron_sum(L, R))) or kron_sums[-1][1]
     )
     rep = model_verify(T, 3)
     # D_T* has full rank, so p = m, and the model space has dimension m
-    assert solves == [(2, m, m), (3, 2 * m, m)]
-    assert len(kron_sums) == 2
-    assert not any(ops is T.ops for ops in kron_sums)
+    assert [shape for _, shape in solves] == [(m, m), (2, m, m), (3, 2 * m, m)]
+    assert [ops is T.ops for ops, _ in kron_sums] == [True, True]
+    for (A, _), (_, K) in zip(solves[1:], kron_sums):
+        assert not np.allclose(A, np.eye(A.shape[-1]) - K.reshape(A.shape))
     monkeypatch.undo()
     assert rep == model_verify(T, 3)
+
+
+def _cross_route_cases():
+    """test_fock's grids, the Jordan blocks J_4..J_12 at their exact and
+    at too short truncations, and the empty contraction."""
+    cases = [(random_contraction(17 + d, d, m), N) for d, m, N in OBSERVABILITY_SHAPES]
+    for d in (1, 2, 3):
+        for m in (2, 3, 4):
+            cases.append((random_contraction(60 + 3 * d + m, d, m, norm=0.7), 4))
+    for d, m in [(1, 3), (2, 3), (3, 2)]:
+        cases.append((random_contraction(40 + d, d, m, norm=0.8), 3))
+        cases.append((random_contraction(50 + d, d, m, norm=0.8), 3))
+    for d in (1, 2):
+        for m in range(4, 13):
+            T = RowContraction(tuple(jordan(m) / np.sqrt(d) for _ in range(d)))
+            cases += [(T, N) for N in (m - 2, m - 1, max(8, m - 1))]
+        cases.append((RowContraction((np.zeros((0, 0)),) * d), 3))
+    return cases
+
+
+def test_model_verify_matches_the_word_route():
+    # the m x m Gram recursion against the model space built over the
+    # words: equal ranks and raises, and residuals within round-off
+    for T, N in _cross_route_cases():
+        try:
+            want = word_route_report(T, N)
+        except TruncationTooShort as short:
+            with pytest.raises(TruncationTooShort) as raised:
+                model_verify(T, N)
+            assert str(raised.value) == str(short)
+            continue
+        rep = model_verify(T, N)
+        assert rep["model_dim"] == rep["rank_O_N"] == want["model_dim"] == T.m
+        for key in ("frame_residual", "intertwine_residual", "kernel_identity_residual"):
+            assert abs(rep[key] - want[key]) <= 1e-14, key
+
+
+def test_model_verify_beyond_the_word_route():
+    # N = 24 at d = 3 has 4.2e11 words, which the word route could not
+    # hold; the Gram recursion meets the CLI's 1e-3 gate at row norm 0.9
+    for seed in (1, 2, 3):
+        rep = model_verify(random_contraction(seed, 3, 2, 0.9), 24)
+        assert rep["model_dim"] == 2
+        worst = max(
+            rep["frame_residual"], rep["intertwine_residual"], rep["kernel_identity_residual"]
+        )
+        assert worst <= 1e-3
+
+
+def test_model_verify_scalar_closed_form_to_round_off():
+    # ||T E|| for T = r is the closed form itself, with no cancellation, so
+    # it holds to round-off relative to its size at every N
+    for r in (0.3, 0.5, 0.7, 0.9):
+        T = RowContraction((np.array([[r]]),))
+        for N in range(1, 21):
+            exact = r ** (2 * N + 1) * (1 - r * r) / (1 - r ** (2 * N + 2))
+            assert abs(model_verify(T, N)["intertwine_residual"] - exact) <= 1e-12 * exact
 
 
 def test_kernel_probes_drawn_once_per_key(monkeypatch):

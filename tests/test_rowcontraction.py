@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +16,16 @@ from ncdbr.errors import (
     NotPure,
 )
 from ncdbr.fock import TruncatedFock, dbr_space
-from ncdbr.numerics import DEFAULT_TOL, _defect_roots, orthonormal_range, psd_sqrt
+from ncdbr.numerics import (
+    DEFAULT_TOL,
+    _defect_roots,
+    orthonormal_range,
+    psd_sqrt,
+    stabilized_span,
+)
 from ncdbr.rowcontraction import (
     RowContraction,
+    _defect_star_frame,
     canonical_frames,
     cnc_rank,
     defect_point,
@@ -101,6 +110,53 @@ def test_cnc_rank_matches_iso_part():
         delta *= 0.5 / np.linalg.norm(delta, 2)
         T = reconstruct(V, delta)
         assert cnc_rank(T).is_cnc == cnc_rank(V).is_cnc
+
+
+def test_cnc_rank_spans_only_below_full_defect_rank(monkeypatch):
+    # a frame of Ran D_T* with m columns already spans C^m, so a strict T
+    # takes no stabilized_span; partial-isometry mixes and Jordan blocks,
+    # whose D_T* has rank between 0 and m, still run it, and every report
+    # is stabilized_span's own
+    spans = []
+    monkeypatch.setattr(
+        sys.modules["ncdbr.rowcontraction"],
+        "stabilized_span",
+        lambda ops, seed, tol: spans.append(seed.shape[1]) or stabilized_span(ops, seed, tol),
+    )
+    cases = [
+        random_contraction(seed, d, m, norm)
+        for seed, (d, m) in enumerate([(1, 3), (2, 3), (3, 2), (2, 5)])
+        for norm in (0.3, 0.9, 0.999)
+    ]
+    for d, m in [(1, 3), (2, 3), (3, 2)]:
+        for rank in range(1, m):
+            V = random_partial_isometry(20 * d + m + rank, d, m, rank)
+            frames = canonical_frames(V)
+            p, q = frames.gamma0.shape[1], frames.gammaInf.shape[1]
+            delta = np.random.default_rng(rank).standard_normal((p, q))
+            cases += [V, reconstruct(V, 0.5 * delta / np.linalg.norm(delta, 2))]
+    cases += [
+        RowContraction(tuple(np.eye(m, k=-1) / np.sqrt(d) for _ in range(d)))
+        for d in (1, 2)
+        for m in (2, 4, 6)
+    ]
+    # not CNC: a unitary, and a unitary summed with a strict part
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mixed = np.block([[flip, np.zeros((2, 1))], [np.zeros((1, 2)), 0.5 * np.eye(1)]])
+    cases += [RowContraction((flip,)), RowContraction((mixed,))]
+    for T in cases:
+        spans.clear()
+        rep = cnc_rank(T)
+        seed = _defect_star_frame(T, DEFAULT_TOL)[0]
+        frame, steps = stabilized_span(T.ops, seed)
+        assert (rep.dim, rep.is_cnc, rep.stabilized_at) == (
+            frame.shape[1],
+            frame.shape[1] == T.m,
+            steps,
+        )
+        assert spans == ([] if seed.shape[1] in (0, T.m) else [seed.shape[1]])
+    # the cases hold both verdicts
+    assert {cnc_rank(T).is_cnc for T in cases} == {True, False}
 
 
 def test_canonical_frames_jordan():
