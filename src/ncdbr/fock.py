@@ -182,26 +182,28 @@ _PROBE_LEVELS = (1, 2, 2, 1, 2)
 
 @lru_cache(maxsize=16)
 def _kernel_probes(d, p, seed):
-    """model_verify's seeded kernel probes, grouped by level in order of
-    first appearance: a tuple of (n, Z, x, u) with the k points of level n
-    stacked, Z of shape (k, d, n, n) and x, u of shape (k, p, n).  Point s
-    is sample_ball_point(d, n, 0.45, seed + s), with x and u drawn from
-    default_rng(seed + 100 + s).  They are constants of (d, p, seed), so
-    they are drawn once per process, and the arrays are read-only because
-    every caller shares them."""
-    levels = {}
-    for s, n in enumerate(_PROBE_LEVELS):
-        Z = sample_ball_point(d, n, 0.45, seed + s)
-        draws = np.random.default_rng(seed + 100 + s).standard_normal((p, 4, n))
-        x, u = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
-        levels.setdefault(n, []).append((np.stack(Z.coords), x, u))
-    probes = []
-    for n, points in levels.items():
-        stacks = [np.stack(arrays) for arrays in zip(*points)]
-        for a in stacks:
-            a.flags.writeable = False
-        probes.append((n, *stacks))
-    return tuple(probes)
+    """model_verify's seeded kernel probes as one read-only stack at level
+    2: a tuple (2, Z, x, u) with Z of shape (5, d, 2, 2) and x, u of shape
+    (5, p, 2).  Point s is sample_ball_point(d, n, 0.45, seed + s) with n
+    from _PROBE_LEVELS, and x and u are drawn from
+    default_rng(seed + 100 + s); a level-1 point is stored as Z (+) 0, with
+    x and u padded by a zero column.  NC kernels respect direct sums, so
+    the padded probe checks the same identity: over the level index every
+    pencil is block diagonal with I in the padded block, and the padded
+    right-hand side is 0 there.  The probes are constants of (d, p, seed),
+    so they are drawn once per process, and the arrays are read-only
+    because every caller shares them."""
+    k, n = len(_PROBE_LEVELS), max(_PROBE_LEVELS)
+    Z = np.zeros((k, d, n, n), dtype=complex)
+    x, u = np.zeros((k, p, n), dtype=complex), np.zeros((k, p, n), dtype=complex)
+    for s, level in enumerate(_PROBE_LEVELS):
+        Z[s, :, :level, :level] = sample_ball_point(d, level, 0.45, seed + s).coords
+        draws = np.random.default_rng(seed + 100 + s).standard_normal((p, 4, level))
+        x[s, :, :level] = draws[:, 0] + 1j * draws[:, 1]
+        u[s, :, :level] = draws[:, 2] + 1j * draws[:, 3]
+    for a in (Z, x, u):
+        a.flags.writeable = False
+    return n, Z, x, u
 
 
 def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
@@ -224,9 +226,12 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     the kernel vector is T's truncated resolvent at x (x) f_g, so the gap is
     the norm of (u* (x) I) [(I - sum_j Z_j* (x) T~_j)^(-1) - S_N] (x (x) f_g)
     with S_N = sum_{k<=N} (sum_j Z_j* (x) T_j)^k.  The probes are constants
-    of (d, p, seed), drawn once per process and kept read-only; per level the
-    check forms one kron sum of T, multiplies by it N times and makes one
-    stacked solve of the T~ pencils.
+    of (d, p, seed), drawn once per process, kept read-only and stacked at
+    level 2, a level-1 probe Z as Z (+) 0: NC kernels respect direct sums,
+    so the padded probe checks the same identity.  The check forms one kron
+    sum of T, multiplies by it N times and makes one stacked solve of the
+    five T~ pencils.  No field sees the column phases of F_out: P_0 is
+    D_T*^2 for any of them, and gap column g only takes on column g's phase.
 
     For a scalar strict contraction T = r the model space is spanned by
     k_N = (1, r, ..., r^N), X = r - r^(2N+1) (1 - r^2)/(1 - r^(2N+2)), and
@@ -257,22 +262,21 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     I_E = np.eye(T.m) - E
 
     f, p = F_out * roots, roots.size
-    kernel_resid = 0.0
-    for n, Z, x, u in _kernel_probes(T.d, p, seed):
-        k, size = len(Z), n * T.m
-        # the k kron sums sum_j Z^i_j* (x) T_j from one kron sum on the
-        # stacked Z^i*, since kron([Z^1*; Z^2*], T_j) = [kron(Z^1*, T_j); ...]
-        Zstar = Z.conj().transpose(1, 0, 3, 2).reshape(T.d, k * n, n)
-        K = _kron_sum(Zstar, T.ops).reshape(k, size, size)
-        pencils = np.eye(size) - (K.reshape(k, n, T.m, n, T.m) @ I_E).reshape(k, size, size)
-        # right-hand side x_g (x) f_g per column, one solve per level
-        rhs = np.einsum("iga,cg->iacg", x, f).reshape(k, size, p)
-        series = rhs
-        for _ in range(N):
-            series = rhs + K @ series
-        gap = (np.linalg.solve(pencils, rhs) - series).reshape(k, n, T.m, p)
-        gap = np.einsum("iga,iacg->icg", u.conj(), gap)
-        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=1).max(initial=0.0)))
+    n, Z, x, u = _kernel_probes(T.d, p, seed)
+    k, size = len(Z), n * T.m
+    # the k kron sums sum_j Z^i_j* (x) T_j from one kron sum on the stacked
+    # Z^i*, since kron([Z^1*; Z^2*], T_j) = [kron(Z^1*, T_j); ...]
+    Zstar = Z.conj().transpose(1, 0, 3, 2).reshape(T.d, k * n, n)
+    K = _kron_sum(Zstar, T.ops).reshape(k, size, size)
+    pencils = np.eye(size) - (K.reshape(k, n, T.m, n, T.m) @ I_E).reshape(k, size, size)
+    # right-hand side x_g (x) f_g per column, one solve for all probes
+    rhs = np.einsum("iga,cg->iacg", x, f).reshape(k, size, p)
+    series = rhs
+    for _ in range(N):
+        series = rhs + K @ series
+    gap = (np.linalg.solve(pencils, rhs) - series).reshape(k, n, T.m, p)
+    gap = np.einsum("iga,iacg->icg", u.conj(), gap)
+    kernel_resid = float(np.linalg.norm(gap, axis=1).max(initial=0.0))
 
     return {
         "N": N,

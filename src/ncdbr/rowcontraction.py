@@ -10,7 +10,6 @@ from .errors import DimensionMismatch, NotContraction, NotFinite, NotPartialIsom
 from .numerics import (
     DEFAULT_TOL,
     _defect_roots,
-    _fix_column_phases,
     _psd_eigenvalues,
     stabilized_span,
     subspace_stable_basis,
@@ -110,11 +109,15 @@ def defects(T, tol=DEFAULT_TOL):
 def _defect_star_frame(T, tol):
     """A frame F_out of Ran D_Tstar and roots r with F_out* D_Tstar = diag(r) F_out*:
     the left singular vectors whose 1 - sigma^2 the PSD policy keeps, largest
-    first (ties in SVD order), with orthonormal_range's phase convention."""
+    first (ties in SVD order), with the SVD's own column phases.  No library
+    caller sees those phases: cnc_rank uses the span, P_0 = F_out diag(r^2)
+    F_out* is D_Tstar^2 for any of them, and a kernel gap column only takes
+    on its column's phase.  A caller that compares coordinates applies
+    _fix_column_phases itself."""
     U, s, _ = T.row_svd
     w = _psd_eigenvalues(1.0 - s**2, tol)
     keep = np.argsort(-w, kind="stable")[: np.count_nonzero(w)]
-    return _fix_column_phases(U[:, keep], tol), np.sqrt(w[keep])
+    return U[:, keep], np.sqrt(w[keep])
 
 
 def _isometric_part(T, tol):

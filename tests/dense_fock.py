@@ -19,7 +19,7 @@ from ncdbr.fock import (
     gleason_extremal,
 )
 from ncdbr.ncspace import FreeWord, _kron_sum
-from ncdbr.numerics import DEFAULT_TOL
+from ncdbr.numerics import DEFAULT_TOL, _fix_column_phases
 from ncdbr.rowcontraction import _cnc_report, _defect_star_frame
 
 
@@ -87,10 +87,13 @@ def _model_space(T, N, tol):
 
     I - B_L B_L* = O_N O_N* for the truncated multiplier B_L of the Julia
     colligation; the block of O_N at word w is F_out* D_T* (T*)^w, the
-    Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).
+    Taylor coefficient of the NC resolvent D_T* [I - Z T*]^(-1).  The
+    coefficient coordinates are compared with dense spaces built on
+    orthonormal_range(D_T*), so F_out takes that frame's phase convention.
     """
     # one frame of Ran D_T*, with F_out* D_T* = diag(roots) F_out*, serves both
     F_out, roots = _defect_star_frame(T, tol)
+    F_out = _fix_column_phases(F_out, tol)
     if not _cnc_report(T, F_out, tol).is_cnc:
         raise NotCNC("model verification needs a CNC row contraction")
     ambient = TruncatedFock(d=T.d, N=N, coeff_dim=F_out.shape[1])
@@ -104,7 +107,7 @@ def word_route_report(T, N, tol=DEFAULT_TOL, seed=2024):
     """model_verify's report computed over the words: the model space from
     O_N's SVD, X from gleason_extremal, U = F* O_N, and the kernel identity
     against the Szego vectors' range-frame coordinates, with the same
-    probes, raises and messages."""
+    stacked probes, raises and messages."""
     space, O_N = _model_space(T, N, tol)
     if space.dim < T.m:
         raise TruncationTooShort(
@@ -118,16 +121,15 @@ def word_route_report(T, N, tol=DEFAULT_TOL, seed=2024):
     U = F.conj().T @ O_N
     # K_0 g = (I - B(L) B(L)*) g at the empty word, for the basis vectors g
     K0 = sigma2[:, None] * F[:p].conj().T
-    kernel_resid = 0.0
-    for n, Z, x, u in _kernel_probes(T.d, p, seed):
-        k, size = len(Z), n * space.dim
-        Zstar = Z.conj().transpose(1, 0, 3, 2).reshape(T.d, k * n, n)
-        pencils = np.eye(size) - _kron_sum(Zstar, X).reshape(k, size, size)
-        rhs = np.einsum("iga,cg->iacg", x, K0).reshape(k, size, p)
-        solved = np.linalg.solve(pencils, rhs).reshape(k, n, space.dim, p)
-        via_X = np.einsum("iga,iacg->icg", u.conj(), solved)
-        gap = G_half * (via_X - _kernel_coords(space, Z, x, u))
-        kernel_resid = max(kernel_resid, float(np.linalg.norm(gap, axis=1).max(initial=0.0)))
+    n, Z, x, u = _kernel_probes(T.d, p, seed)
+    k, size = len(Z), n * space.dim
+    Zstar = Z.conj().transpose(1, 0, 3, 2).reshape(T.d, k * n, n)
+    pencils = np.eye(size) - _kron_sum(Zstar, X).reshape(k, size, size)
+    rhs = np.einsum("iga,cg->iacg", x, K0).reshape(k, size, p)
+    solved = np.linalg.solve(pencils, rhs).reshape(k, n, space.dim, p)
+    via_X = np.einsum("iga,iacg->icg", u.conj(), solved)
+    gap = G_half * (via_X - _kernel_coords(space, Z, x, u))
+    kernel_resid = float(np.linalg.norm(gap, axis=1).max(initial=0.0))
     mismatch = G_half * (U @ np.stack(T.ops) - np.stack(X) @ U)
     return {
         "N": N,

@@ -519,6 +519,32 @@ def _conjugated(T, seed):
     return RowContraction(tuple(Q @ op @ Q.conj().T for op in T.ops))
 
 
+@pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2), (2, 4)])
+def test_coincidence_near_the_boundary(d, m):
+    # row norms 1 - eps for eps = 1e-2 down to 1e-12: T stays CNC, and each
+    # verdict is right against Q T Q*, popescu_char and an unrelated T'.
+    # A positive residual is the round-off of T's defect roots, where an
+    # error of one ulp in sigma moves sqrt(1 - sigma^2) by about
+    # ulp / sqrt(2 eps): over 60 draws per eps it stayed below
+    # 1.9 ulp / sqrt(eps), which reaches 3.3e-11 at eps = 1e-10.  At
+    # eps = 1e-12 the PSD policy counts T's top direction as isometric, and
+    # the residual is round-off of order 1e-15.
+    fit, hold = ball_points(d, 6, seed=100), ball_points(d, 4, seed=900)
+    other = char_fn(random_contraction(500 + m, d, m))
+    ulp = np.finfo(float).eps
+    for k in range(2, 14, 2):
+        eps = 10.0**-k
+        T = random_contraction(700 + 10 * d + m + k, d, m, 1.0 - eps)
+        assert cnc_rank(T).dim == m
+        B = char_fn(T)
+        bound = 4 * ulp / np.sqrt(eps) if 2 * eps > DEFAULT_TOL.rank_rel else 1e-13
+        for B2 in (char_fn(_conjugated(T, k)), popescu_char(T)):
+            _, _, res, ok = weak_coincidence_fit(B, B2, fit, hold)
+            assert ok and res <= bound, (k, res)
+        _, _, res, ok = weak_coincidence_fit(B, other, fit, hold)
+        assert not ok and res > 1e-3, (k, res)
+
+
 def test_weak_coincidence_largest_popescu_fit(monkeypatch):
     # d = 3, m = 6: the largest shape of the coincidence workload, with
     # p = 6 and q = 18 coefficient dimensions; the output Gram's spectrum

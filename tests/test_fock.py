@@ -3,7 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import decomposes_row, random_contraction, same_matrix, spy_decompositions
+from conftest import (
+    decomposes_row,
+    random_contraction,
+    random_partial_isometry,
+    same_matrix,
+    spy_decompositions,
+)
 from dense_fock import (
     _model_space,
     mult_operator,
@@ -33,7 +39,15 @@ from ncdbr.ncspace import (
 )
 from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, psd_sqrt
 from ncdbr.realization import taylor_coeff
-from ncdbr.rowcontraction import RowContraction, defects, julia_matrix
+from ncdbr.rowcontraction import (
+    RowContraction,
+    _defect_star_frame,
+    canonical_frames,
+    cnc_rank,
+    defects,
+    julia_matrix,
+    reconstruct,
+)
 
 JORDAN = RowContraction((np.array([[0.0, 0.0], [1.0, 0.0]]),))
 
@@ -463,11 +477,11 @@ def test_model_verify_matches_looped_oracle(d, m):
 
 @pytest.mark.parametrize("d, m", [(1, 3), (2, 3), (3, 2)])
 def test_model_verify_solves_once_per_level(monkeypatch, d, m):
-    # one m x m solve for E = P_N G_N^-1, then one stacked pencil solve per
-    # probe level: the two level-1 and the three level-2 points, with the p
-    # kernel right-hand sides as columns.  Each level takes one kron sum,
-    # of T itself; the pencil is I - that kron sum times I (x) (I - E), and
-    # T's kron sum is multiplied, never solved against.  No pinv is taken.
+    # one m x m solve for E = P_N G_N^-1, then one stacked pencil solve for
+    # all five probes, the level-1 ones padded to level 2, with the p kernel
+    # right-hand sides as columns.  It takes one kron sum, of T itself; the
+    # pencil is I - that kron sum times I (x) (I - E), and T's kron sum is
+    # multiplied, never solved against.  No pinv is taken.
     T = random_contraction(50 + d, d, m, norm=0.8)
     solves = []
     kron_sums = []
@@ -483,12 +497,70 @@ def test_model_verify_solves_once_per_level(monkeypatch, d, m):
     )
     rep = model_verify(T, 3)
     # D_T* has full rank, so p = m, and the model space has dimension m
-    assert [shape for _, shape in solves] == [(m, m), (2, m, m), (3, 2 * m, m)]
-    assert [ops is T.ops for ops, _ in kron_sums] == [True, True]
-    for (A, _), (_, K) in zip(solves[1:], kron_sums):
-        assert not np.allclose(A, np.eye(A.shape[-1]) - K.reshape(A.shape))
+    assert [shape for _, shape in solves] == [(m, m), (5, 2 * m, m)]
+    assert [ops is T.ops for ops, _ in kron_sums] == [True]
+    (A, _), (_, K) = solves[1], kron_sums[0]
+    assert not np.allclose(A, np.eye(A.shape[-1]) - K.reshape(A.shape))
     monkeypatch.undo()
     assert rep == model_verify(T, 3)
+
+
+def _phase_cases():
+    """Strict T at row norms 0.3, 0.9 and 0.999, partial-isometry mixes
+    reconstruct(V, delta), and the Jordan blocks J_4..J_8 at N = m - 1."""
+    cases = [
+        (random_contraction(80 + 10 * d + m, d, m, norm), 6)
+        for norm in (0.3, 0.9, 0.999)
+        for d, m in [(1, 3), (2, 3), (3, 2), (2, 4)]
+    ]
+    for d, m in [(1, 3), (2, 3), (3, 2)]:
+        for rank in range(1, m):
+            V = random_partial_isometry(20 * d + m + rank, d, m, rank)
+            frames = canonical_frames(V)
+            p, q = frames.gamma0.shape[1], frames.gammaInf.shape[1]
+            delta = np.random.default_rng(rank).standard_normal((p, q))
+            cases.append((reconstruct(V, 0.5 * delta / np.linalg.norm(delta, 2)), 6))
+    cases += [(RowContraction((jordan(m),)), m - 1) for m in range(4, 9)]
+    return cases
+
+
+def test_model_verify_and_cnc_rank_ignore_the_frame_phases(monkeypatch):
+    # no caller sees the column phases of the Ran D_T* frame: model_verify
+    # fixes none on a strict T, whose CNC check takes no span, and seeded
+    # unimodular phases on the frame leave cnc_rank identical and every
+    # model_verify field within 1e-15.  frame_residual is 1 - lambda for an
+    # eigenvalue lambda of G_N <= I, so eigvalsh's round-off is a few ulps
+    # of 1 there (at most 5.5 over 200 phase draws of these cases), and it
+    # gets 8 ulps of 1
+    cases = _phase_cases()
+    fixed = []
+    fix = sys.modules["ncdbr.numerics"]._fix_column_phases
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ncdbr") and getattr(module, "_fix_column_phases", None) is fix:
+            monkeypatch.setattr(
+                module, "_fix_column_phases", lambda B, tol: fixed.append(B.shape) or fix(B, tol)
+            )
+    # the first twelve cases are strict
+    for T, N in cases[:12]:
+        model_verify(T, N)
+    assert fixed == []
+    want = [(cnc_rank(T), model_verify(T, N)) for T, N in cases]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+
+        def phased(T, tol):
+            F, roots = _defect_star_frame(T, tol)
+            return F * np.exp(2j * np.pi * rng.random(F.shape[1])), roots
+
+        for module in ("ncdbr.fock", "ncdbr.rowcontraction"):
+            monkeypatch.setattr(sys.modules[module], "_defect_star_frame", phased)
+        for (T, N), (rank, rep) in zip(cases, want):
+            assert cnc_rank(T) == rank
+            got = model_verify(T, N)
+            assert got.keys() == rep.keys()
+            for key in rep:
+                bound = 8 * np.finfo(float).eps if key == "frame_residual" else 1e-15
+                assert abs(got[key] - rep[key]) <= bound, key
 
 
 def _cross_route_cases():
@@ -564,17 +636,25 @@ def test_kernel_probes_drawn_once_per_key(monkeypatch):
     assert len(drawn) == 5
     _kernel_probes(2, 3, 12)
     assert len(drawn) == 10
-    assert [(n, Z.shape, x.shape, u.shape) for n, Z, x, u in first] == [
-        (1, (2, 2, 1, 1), (2, 3, 1), (2, 3, 1)),
-        (2, (3, 2, 2, 2), (3, 3, 2), (3, 3, 2)),
-    ]
+    n, Z, x, u = first
+    assert (n, Z.shape, x.shape, u.shape) == (2, (5, 2, 2, 2), (5, 3, 2), (5, 3, 2))
+    # point s is the level-n draw at seed 11 + s, a level-1 draw stored as
+    # Z (+) 0 with x and u padded by a zero column
+    for s, level in enumerate([1, 2, 2, 1, 2]):
+        point = np.stack(sample_ball_point(2, level, 0.45, 11 + s).coords)
+        draws = np.random.default_rng(111 + s).standard_normal((3, 4, level))
+        assert np.array_equal(Z[s, :, :level, :level], point)
+        assert np.array_equal(x[s, :, :level], draws[:, 0] + 1j * draws[:, 1])
+        assert np.array_equal(u[s, :, :level], draws[:, 2] + 1j * draws[:, 3])
+        for a in (Z[s, :, level:], Z[s, :, :, level:], x[s, :, level:], u[s, :, level:]):
+            assert not a.any()
 
 
 def test_kernel_probes_are_read_only():
-    for _, Z, x, u in _kernel_probes(2, 2, 2024):
-        for a in (Z, x, u):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+    _, Z, x, u = _kernel_probes(2, 2, 2024)
+    for a in (Z, x, u):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 @pytest.mark.parametrize("d, m", [(1, 3), (2, 2), (3, 2)])
@@ -598,7 +678,7 @@ def test_kernel_vector_is_a_stacked_column():
     T = random_contraction(5, 2, 3, norm=0.7)
     space, _ = _model_space(T, 3, DEFAULT_TOL)
     p = space.ambient.coeff_dim
-    _, Z, x, u = _kernel_probes(2, p, 9)[1]
+    _, Z, x, u = _kernel_probes(2, p, 9)
     coords = _kernel_coords(space, Z, x, u)
     g = np.eye(p)[1]
     for i in range(len(Z)):
