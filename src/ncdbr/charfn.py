@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     NotStrict,
     OutsideBall,
-    SingularPencil,
 )
 from .ncspace import (
     coeff_lift,
@@ -29,9 +28,9 @@ from .ncspace import (
     sample_ball_point,
     zero_tuple,
 )
-from .numerics import DEFAULT_TOL, _as_complex, _defect_roots, _ill_condition, _svd_rank
+from .numerics import DEFAULT_TOL, _as_complex, _defect_roots, _svd_rank
 from .numerics import orthonormal_range
-from .realization import Colligation, transfer_eval, transfer_values
+from .realization import Colligation, _check_pencil, transfer_eval, transfer_values
 from .rowcontraction import _isometric_part, canonical_frames, julia_matrix
 
 __all__ = [
@@ -101,12 +100,13 @@ class SchurSampler:
 
 
 def model_gamma(V, Z, tol=DEFAULT_TOL):
-    """Canonical model map value [I - V Z^*]^{-1} (gamma0 (x) I_n)."""
+    """Canonical model map value [I - V Z^*]^{-1} (gamma0 (x) I_n).  The
+    pencil is checked as in transfer_eval, with
+    ||sum_j Z_j^* (x) V_j|| <= rho = ||Z||_row ||V||_row."""
     frames = canonical_frames(V, tol)
     pencil = pencil_tz_star(V.ops, Z)
-    cond = _ill_condition(pencil, tol)
-    if cond is not None:
-        raise SingularPencil("pencil condition %.3e" % cond)
+    sigma = V.row_svd[1]
+    _check_pencil(pencil, Z.row_norm * (sigma[0] if sigma.size else 0.0), tol)
     return np.linalg.solve(pencil, coeff_lift(frames.gamma0, Z.n))
 
 

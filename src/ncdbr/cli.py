@@ -31,7 +31,10 @@ from .rowcontraction import (
     reconstruct,
 )
 
-DEFAULT_FOCK_N = {1: 8, 2: 6, 3: 4}
+# the gate on model-verify's truncated residuals, and the largest N it
+# tries when --max-len is absent
+MODEL_GATE = 1e-3
+MAX_FOCK_N = 1024
 
 
 def _matrix_to_json(M):
@@ -165,16 +168,23 @@ def cmd_roundtrip(args):
 
 
 def cmd_model_verify(args):
+    """model_verify at N = --max-len when given.  Otherwise N starts at
+    max(1, m - 1), where rank O_N = m for every CNC T, and doubles until
+    the worst residual meets the gate or N reaches MAX_FOCK_N."""
     T, digest = load_contraction(args.input)
-    N = args.max_len if args.max_len is not None else DEFAULT_FOCK_N.get(T.d, 4)
-    report = model_verify(T, N, seed=args.seed)
-    worst = max(
-        report["frame_residual"],
-        report["intertwine_residual"],
-        report["kernel_identity_residual"],
-    )
+    N = max(1, T.m - 1) if args.max_len is None else args.max_len
+    while True:
+        report = model_verify(T, N, seed=args.seed)
+        worst = max(
+            report["frame_residual"],
+            report["intertwine_residual"],
+            report["kernel_identity_residual"],
+        )
+        if worst <= MODEL_GATE or args.max_len is not None or N >= MAX_FOCK_N:
+            break
+        N = min(2 * N, MAX_FOCK_N)
     # truncation-limited sanity threshold, not the acceptance tolerance
-    return digest, report, {"model_residuals_small": worst <= 1e-3}
+    return digest, report, {"model_residuals_small": worst <= MODEL_GATE}
 
 
 def cmd_poly_eval(args):
@@ -188,15 +198,27 @@ def cmd_poly_eval(args):
     return digest, report, {"evaluated": True}
 
 
+# every option but --input and --out, with its argparse settings
+OPTIONS = {
+    "points": {"type": int, "default": 10},
+    "radius": {"type": float, "default": 0.7},
+    "seed": {"type": int, "default": 42},
+    "max_len": {"type": int, "default": None},
+    "tol": {"type": float, "default": None},
+    "expr": {"required": True},
+}
+
+# each command and the options it reads beyond --input and --out
+_SAMPLED = ("points", "radius", "seed")
 COMMANDS = {
-    "cnc-check": cmd_cnc_check,
-    "charfn": cmd_charfn,
-    "compare-popescu": cmd_compare_popescu,
-    "kernel-psd": cmd_kernel_psd,
-    "frostman": cmd_frostman,
-    "roundtrip": cmd_roundtrip,
-    "model-verify": cmd_model_verify,
-    "poly-eval": cmd_poly_eval,
+    "cnc-check": (cmd_cnc_check, ()),
+    "charfn": (cmd_charfn, _SAMPLED),
+    "compare-popescu": (cmd_compare_popescu, _SAMPLED + ("tol",)),
+    "kernel-psd": (cmd_kernel_psd, _SAMPLED),
+    "frostman": (cmd_frostman, _SAMPLED + ("tol",)),
+    "roundtrip": (cmd_roundtrip, ("seed",)),
+    "model-verify": (cmd_model_verify, ("seed", "max_len")),
+    "poly-eval": (cmd_poly_eval, ("expr",)),
 }
 
 
@@ -205,55 +227,47 @@ def build_parser():
         prog="ncdbr", description="Batch experiments for the NC model toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
-        p.add_argument("--points", type=int, default=10)
-        p.add_argument("--radius", type=float, default=0.7)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--max-len", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        for option in options:
+            p.add_argument("--" + option.replace("_", "-"), **OPTIONS[option])
         p.add_argument("--out", default=None)
-        if name == "poly-eval":
-            p.add_argument("--expr", required=True)
     return parser
 
 
 def _check_args(args):
-    """Take --tol from NCDBR_TOL (default 1e-8) when it is absent, and
-    reject a tolerance that is not finite and positive and a point count
-    below 1, with which no verdict would check anything."""
-    if args.tol is None:
-        text = os.environ.get("NCDBR_TOL", "1e-8")
-        try:
-            args.tol = float(text)
-        except ValueError:
-            raise ValueError("NCDBR_TOL=%r is not a number" % text) from None
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError("tolerance must be finite and positive, got %r" % args.tol)
-    if args.points < 1:
+    """Take --tol from NCDBR_TOL (default 1e-8) when the command reads a
+    tolerance and none is given, and reject a tolerance that is not finite
+    and positive and a point count below 1, with which no verdict would
+    check anything."""
+    if "tol" in vars(args):
+        if args.tol is None:
+            text = os.environ.get("NCDBR_TOL", "1e-8")
+            try:
+                args.tol = float(text)
+            except ValueError:
+                raise ValueError("NCDBR_TOL=%r is not a number" % text) from None
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError("tolerance must be finite and positive, got %r" % args.tol)
+    if "points" in vars(args) and args.points < 1:
         raise ValueError("--points must be at least 1, got %d" % args.points)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    command, options = COMMANDS[args.command]
     start = time.monotonic()
     try:
         _check_args(args)
-        digest, results, verdicts = COMMANDS[args.command](args)
+        digest, results, verdicts = command(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, NcdbrError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     report = {
         "command": args.command,
         "inputs": {"path": args.input, "sha256": digest},
-        "params": {
-            "points": args.points,
-            "radius": args.radius,
-            "seed": args.seed,
-            "max_len": args.max_len,
-            "tol": args.tol,
-        },
+        "params": {name: getattr(args, name) for name in options},
         "results": results,
         "verdicts": verdicts,
         "wall_time_ms": round(1000.0 * (time.monotonic() - start), 3),

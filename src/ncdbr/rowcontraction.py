@@ -3,6 +3,7 @@ canonical frames, defect points, and the Julia colligation, all read off
 the one full SVD of T's row taken at construction."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +60,11 @@ class RowContraction:
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "row_svd", svd)
 
-    @property
+    @cached_property
     def d(self):
         return len(self.ops)
 
-    @property
+    @cached_property
     def m(self):
         return self.ops[0].shape[0]
 

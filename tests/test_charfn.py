@@ -35,18 +35,20 @@ from ncdbr.errors import (
     NotFinite,
     NotStrict,
     OutsideBall,
+    SingularPencil,
 )
 from ncdbr.ncspace import (
     MatrixTuple,
     coeff_lift,
     conjugate,
     direct_sum,
+    pencil_tz_star,
     point_block,
     row_norm,
     sample_ball_point,
     zero_tuple,
 )
-from ncdbr.numerics import DEFAULT_TOL, _svd_rank, orthonormal_range
+from ncdbr.numerics import DEFAULT_TOL, _ill_condition, _svd_rank, orthonormal_range
 from ncdbr.realization import transfer_eval
 from ncdbr.rowcontraction import (
     RowContraction,
@@ -118,6 +120,51 @@ def test_model_gamma_examples():
     f0 = canonical_frames(V0)
     Z = sample_ball_point(1, 2, 0.5, 2)
     assert np.allclose(model_gamma(V0, Z), coeff_lift(f0.gamma0, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_model_gamma_checks_condition_only_past_norm_bound(monkeypatch, seed):
+    # ||sum_j Z_j^* (x) V_j|| <= rho = ||Z||_row ||V||_row: as in
+    # transfer_eval, the SVD check is skipped where that bound rules out a
+    # singular pencil, and the value or error equals that of a check on
+    # every pencil
+    import ncdbr.realization
+
+    checks = []
+
+    def counted(M, tol):
+        checks.append(M.shape)
+        return _ill_condition(M, tol)
+
+    monkeypatch.setattr(ncdbr.realization, "_ill_condition", counted)
+    rng = np.random.default_rng(seed)
+    d, n = 1 + seed % 3, 1 + seed % 2
+    # a random partial isometry, and V_1 = diag(1, 0), whose pencil at the
+    # scalar point rho is diag(1 - rho, 1), singular at rho = 1
+    V = random_partial_isometry(70 + seed, d, 3, 2)
+    aligned = RowContraction((np.diag([1.0, 0.0]),) + (np.zeros((2, 2)),) * (d - 1))
+    singular = 0
+    for rho in (0.5, 1 - 1e-6, 1 - 3e-10, 1 - 1.5e-10, 1 - 1e-11, 1.0, 1 + 1e-11, 1.5):
+        coords = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+        Z = MatrixTuple(tuple(coords * (rho / np.linalg.norm(np.hstack(coords), 2))))
+        scalar = MatrixTuple((np.array([[rho]]),) + (np.zeros((1, 1)),) * (d - 1))
+        for W, X in ((V, Z), (aligned, scalar)):
+            checks.clear()
+            pencil = pencil_tz_star(W.ops, X)
+            if _ill_condition(pencil, DEFAULT_TOL) is not None:
+                singular += 1
+                with pytest.raises(SingularPencil):
+                    model_gamma(W, X)
+            else:
+                want = np.linalg.solve(pencil, coeff_lift(canonical_frames(W).gamma0, X.n))
+                assert np.array_equal(model_gamma(W, X), want)
+            bound = X.row_norm * np.linalg.norm(W.row(), 2)
+            if 1.0 - bound > DEFAULT_TOL.rank_rel * (1.0 + bound) + 1e-12:
+                assert not checks
+            if rho >= 1.0:
+                assert checks
+    # the aligned pencil is singular to rank_rel at 1 - 1e-11 and at 1
+    assert singular >= 2
 
 
 def test_nc_function_axioms():

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import random_contraction
-from ncdbr.cli import main
+import ncdbr.cli as cli_module
+from ncdbr.cli import COMMANDS, build_parser, main
 
 UNITARY = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures")
@@ -143,7 +146,7 @@ def test_model_verify_command(scalar_file, capsys):
 
 
 def test_model_verify_nilpotent_jordan(tmp_path, capsys):
-    # J_6 has p = 1 and J^6 = 0: the default N = 8 is exact, N = 3 too short
+    # J_6 has p = 1 and J^6 = 0: the default N = m - 1 = 5 is exact, N = 3 too short
     path = tmp_path / "J6.json"
     path.write_text(json.dumps({"ops": [matrix_json(np.eye(6, k=-1))]}))
     code, report = run(["model-verify", "--input", str(path)], capsys)
@@ -244,3 +247,60 @@ def test_no_points_exits_two(contraction_file, capsys, command, points):
     assert main([command, "--input", contraction_file, "--points", points]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "input error" in captured.err
+
+
+def _declared_options(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions if action.dest != "help"}
+
+
+def test_commands_declare_exactly_the_options_they_read():
+    # an option a command does not read would be ignored without a word;
+    # main reads --out for every command
+    with open(cli_module.__file__, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for command, (fn, _) in COMMANDS.items():
+        read = {
+            node.attr
+            for node in ast.walk(functions[fn.__name__])
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        assert _declared_options(command) == read | {"out"}, command
+
+
+def test_option_a_command_does_not_read_exits_two(scalar_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charfn", "--input", scalar_file, "--max-len", "3"])
+    assert exc.value.code == 2
+    assert "--max-len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_default_model_verify_meets_gate_on_grid(d, tmp_path, capsys):
+    # N doubles from m - 1 until the residuals meet the 1e-3 gate
+    for m in (2, 3, 4):
+        for seed in (1, 2, 3):
+            T = random_contraction(seed, d, m)
+            path = tmp_path / "T.json"
+            path.write_text(json.dumps({"ops": [matrix_json(op) for op in T.ops]}))
+            code, report = run(["model-verify", "--input", str(path)], capsys)
+            assert code == 0, (m, seed)
+            assert report["verdicts"]["model_residuals_small"]
+            assert report["results"]["rank_O_N"] == m
+            assert report["params"] == {"seed": 42, "max_len": None}
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_default_model_verify_on_jordan_blocks(m, tmp_path, capsys):
+    # J_m is nilpotent of order m, so the first N = m - 1 is exact
+    path = tmp_path / "J.json"
+    path.write_text(json.dumps({"ops": [matrix_json(np.eye(m, k=-1))]}))
+    code, report = run(["model-verify", "--input", str(path)], capsys)
+    assert code == 0
+    assert report["verdicts"]["model_residuals_small"]
+    assert report["results"]["N"] == m - 1
+    assert report["results"]["rank_O_N"] == m

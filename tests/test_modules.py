@@ -1,5 +1,6 @@
-"""Static checks of the library modules: every imported name is used, and
-every name in __all__ is defined at the module's top level."""
+"""Static checks of the library modules: every imported name is used,
+every name in __all__ is defined at the module's top level, and every
+private top-level function has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,33 @@ def test_imports_are_used_and_exports_are_defined(path):
     exports = _exports(tree)
     assert sorted(imported - used - set(exports)) == []
     assert sorted(set(exports) - _top_level_names(tree) - imported) == []
+
+
+def _referenced_names(tree, skip):
+    """The names a module reads, as bare names or attributes, outside the
+    function definitions in skip."""
+    names = set()
+    stack = [node for node in tree.body if node not in skip]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_private_functions_have_callers():
+    # a private helper no library code reaches is dead code; a reference
+    # from its own body does not count
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    names = {name: _referenced_names(tree, set()) for name, tree in trees.items()}
+    orphans = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(names[other] for other in trees if other != name))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                if node.name not in elsewhere | _referenced_names(tree, {node}):
+                    orphans.append("%s.%s" % (name, node.name))
+    assert orphans == []
