@@ -31,7 +31,7 @@ from .ncspace import (
 from .numerics import DEFAULT_TOL, _as_complex, _defect_roots, _svd_rank
 from .numerics import orthonormal_range
 from .realization import Colligation, _check_pencil, transfer_eval, transfer_values
-from .rowcontraction import _isometric_part, canonical_frames, julia_matrix
+from .rowcontraction import _isometric_frames, canonical_frames, julia_matrix
 
 __all__ = [
     "SchurSampler",
@@ -151,7 +151,7 @@ def char_fn(T, tol=DEFAULT_TOL):
     """Characteristic function B_T of a row contraction: the Moebius map of
     B_V at minus the defect point delta, realized as T's Julia colligation
     compressed to the canonical frames gammaInf (input) and gamma0 (output)
-    of T's isometric part V.  One pencil solve per value.
+    of T's isometric part V, read off T's SVD.  One pencil solve per value.
 
     Derivation: in moebius's inverse-free form the map is
     delta + D_{delta*} (I + B_V delta*)^{-1} B_V D_delta, and push-through
@@ -161,7 +161,7 @@ def char_fn(T, tol=DEFAULT_TOL):
     T* gamma0 = -gammaInf delta*, so D_T gammaInf = gammaInf D_delta and
     gamma0* D_T* = D_{delta*} gamma0*.  Satisfies B_T(0) = delta.
     """
-    frames = canonical_frames(_isometric_part(T, tol), tol)
+    frames = _isometric_frames(T, tol)
     return _julia_compression(julia_matrix(T, tol), frames.gammaInf, frames.gamma0, tol, "char_fn")
 
 

@@ -168,9 +168,10 @@ def cmd_roundtrip(args):
 
 
 def cmd_model_verify(args):
-    """model_verify at N = --max-len when given.  Otherwise N starts at
-    max(1, m - 1), where rank O_N = m for every CNC T, and doubles until
-    the worst residual meets the gate or N reaches MAX_FOCK_N."""
+    """model_verify at N = --max-len when given, which must be at least the
+    stabilized_at of cnc-check.  Otherwise N starts at max(1, m - 1), past
+    stabilized_at for every CNC T, and doubles until the worst residual
+    meets the gate or N reaches MAX_FOCK_N."""
     T, digest = load_contraction(args.input)
     N = max(1, T.m - 1) if args.max_len is None else args.max_len
     while True:

@@ -215,9 +215,9 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     map, G_N = O_N* O_N = P_0 + ... + P_N with P_0 = D_T*^2 and
     P_k = sum_j T_j P_(k-1) T_j*, and E = P_N G_N^(-1).  In range-frame
     coordinates U = F* O_N, G^(1/2) U is unitary and X_j = U T~_j U^(-1) with
-    T~_j = T_j (I - E).  The report holds rank_O_N, the rank of G_N (m; below
-    m the truncation has not reached all of H and TruncationTooShort is
-    raised), and three residuals that decay geometrically in N:
+    T~_j = T_j (I - E).  O_N reaches all of H from N = stabilized_at of T's
+    CNC span on, and TruncationTooShort is raised below it; the report holds
+    rank_O_N = m and three residuals that decay geometrically in N:
     frame_residual ||I - G_N||, which is ||sum_{|w|=N+1} T^w T^w*||;
     intertwine_residual max_j ||G^(1/2) (U T_j - X_j U)|| = max_j ||T_j E||;
     and kernel_identity_residual, the largest gap in
@@ -225,13 +225,11 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     (Z, x, u).  In T's coordinates K_0 g is f_g = F_out diag(roots) e_g and
     the kernel vector is T's truncated resolvent at x (x) f_g, so the gap is
     the norm of (u* (x) I) [(I - sum_j Z_j* (x) T~_j)^(-1) - S_N] (x (x) f_g)
-    with S_N = sum_{k<=N} (sum_j Z_j* (x) T_j)^k.  The probes are constants
-    of (d, p, seed), drawn once per process, kept read-only and stacked at
-    level 2, a level-1 probe Z as Z (+) 0: NC kernels respect direct sums,
-    so the padded probe checks the same identity.  The check forms one kron
-    sum of T, multiplies by it N times and makes one stacked solve of the
-    five T~ pencils.  No field sees the column phases of F_out: P_0 is
-    D_T*^2 for any of them, and gap column g only takes on column g's phase.
+    with S_N = sum_{k<=N} (sum_j Z_j* (x) T_j)^k, at the level-2 stack of
+    _kernel_probes.  The check forms one kron sum of T, multiplies by it N
+    times and makes one stacked solve of the five T~ pencils.  No field sees
+    the column phases of F_out: P_0 is D_T*^2 for any of them, and gap
+    column g only takes on column g's phase.
 
     For a scalar strict contraction T = r the model space is spanned by
     k_N = (1, r, ..., r^N), X = r - r^(2N+1) (1 - r^2)/(1 - r^(2N+2)), and
@@ -239,8 +237,11 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
     """
     # one frame of Ran D_T*, with F_out* D_T* = diag(roots) F_out*, serves both
     F_out, roots = _defect_star_frame(T, tol)
-    if not _cnc_report(T, F_out, tol).is_cnc:
+    cnc = _cnc_report(T, F_out, tol)
+    if not cnc.is_cnc:
         raise NotCNC("model verification needs a CNC row contraction")
+    if N < cnc.stabilized_at:
+        raise TruncationTooShort("N = %d < %d, where rank O_N reaches m" % (N, cnc.stabilized_at))
     row = T.row()
     star = row.conj().T.reshape(T.d, T.m, T.m)
     # P_k is the Gram of O_N's blocks at the words of length k
@@ -250,12 +251,6 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
         # sum_j T_j P T_j* = [T_1 ... T_d] [P T_1*; ...; P T_d*]
         P = row @ (P @ star).reshape(T.d * T.m, T.m)
         G = G + P
-    lam = _psd_eigenvalues(np.linalg.eigvalsh(G), tol)
-    rank = int(np.count_nonzero(lam))
-    if rank < T.m:
-        raise TruncationTooShort(
-            "rank O_N = %d is below m = %d at N = %d; raise N" % (rank, T.m, N)
-        )
     # E = P_N G_N^-1 = (G_N^-1 P_N)*, as G_N and P_N are Hermitian
     E = np.linalg.solve(G, P).conj().T
     intertwine = np.linalg.svd(E.conj().T @ star, compute_uv=False)
@@ -280,9 +275,9 @@ def model_verify(T, N, tol=DEFAULT_TOL, seed=2024):
 
     return {
         "N": N,
-        "model_dim": rank,
-        "rank_O_N": rank,
-        "frame_residual": float(np.abs(1.0 - lam).max(initial=0.0)),
+        "model_dim": T.m,
+        "rank_O_N": T.m,
+        "frame_residual": float(np.abs(1.0 - np.linalg.eigvalsh(G)).max(initial=0.0)),
         "intertwine_residual": float(intertwine.max(initial=0.0)),
         "kernel_identity_residual": kernel_resid,
     }

@@ -96,6 +96,10 @@ class CanonicalModelFrames:
 
 @dataclass(frozen=True)
 class CncReport:
+    """dim of the span of the T^w Ran D_Tstar over all words, and
+    stabilized_at, the smallest N whose words of length <= N span it: for
+    a CNC T, the smallest N with rank O_N = m."""
+
     dim: int
     is_cnc: bool
     stabilized_at: int
@@ -121,27 +125,17 @@ def _defect_star_frame(T, tol):
     return U[:, keep], np.sqrt(w[keep])
 
 
-def _isometric_part(T, tol):
-    """The row partial isometry V of T = V + C: T compressed to the kernel
-    of D_T, where T acts isometrically, that is to the right singular
-    vectors whose 1 - sigma^2 the PSD policy zeroes."""
-    _, s, Wh = T.row_svd
-    ker = Wh[: np.count_nonzero(_psd_eigenvalues(1.0 - s**2, tol) == 0.0)]
-    return _from_row(T.row() @ ker.conj().T @ ker, T.d)
-
-
 def iso_pure_decompose(T, tol=DEFAULT_TOL):
-    """Unique split T = V + C with V a row partial isometry and C pure.
-    Builds that need V alone take _isometric_part, and skip C's SVD."""
-    V = _isometric_part(T, tol)
-    return IsoPureParts(V=V, C=_from_row(T.row() - V.row(), T.d))
+    """Unique split T = V + C with V a row partial isometry and C pure: the
+    one builder of V, with C = T gammaInf gammaInf* for V's frames."""
+    gammaInf = _isometric_frames(T, tol).gammaInf
+    C = _from_row(T.row() @ gammaInf @ gammaInf.conj().T, T.d)
+    return IsoPureParts(V=_from_row(T.row() - C.row(), T.d), C=C)
 
 
 def cnc_rank(T, tol=DEFAULT_TOL):
-    """Dimension of the span of T^w Ran D_Tstar over all words.
-
-    T is completely non-coisometric exactly when this span is everything.
-    """
+    """The CncReport of T, which is completely non-coisometric exactly when
+    the span of the T^w Ran D_Tstar is everything."""
     return _cnc_report(T, _defect_star_frame(T, tol)[0], tol)
 
 
@@ -161,25 +155,34 @@ def _check_partial_isometry(V, tol):
         raise NotPartialIsometry("V*V fails idempotence by %.3e" % defect)
 
 
+def _frames_past(svd, r, tol):
+    """The spans of a row SVD's left and right singular vectors past its
+    first r, in bases that depend only on the spans, not on round-off."""
+    U, _, Wh = svd
+    stable = (subspace_stable_basis(F, tol) for F in (U[:, r:], Wh[r:].conj().T))
+    return CanonicalModelFrames(*stable)
+
+
 def canonical_frames(V, tol=DEFAULT_TOL):
-    """Deterministic isometries onto (Ran V)^perp and Ker V: the left and
-    right singular vectors of V's row past its one rank decision."""
+    """Deterministic isometries onto (Ran V)^perp and Ker V for a row
+    partial isometry V: its singular vectors past its one rank decision."""
     _check_partial_isometry(V, tol)
-    U, s, Wh = V.row_svd
     # the check bounds sigma^2 |1 - sigma^2| by 100 eq_abs < 0.1, so each
     # sigma^2 sits near 0 or near 1 and the rank counts sigma^2 > 1/2; a
     # cutoff relative to sigma_max would count a V of tiny norm as full rank
-    r = int(np.count_nonzero(s**2 > 0.5))
-    # stabilize the kernel bases so the frames depend only on the
-    # subspaces, not on perturbations at machine precision
-    gamma0 = subspace_stable_basis(U[:, r:], tol)
-    gammaInf = subspace_stable_basis(Wh[r:].conj().T, tol)
-    return CanonicalModelFrames(gamma0=gamma0, gammaInf=gammaInf)
+    return _frames_past(V.row_svd, int(np.count_nonzero(V.row_svd[1] ** 2 > 0.5)), tol)
+
+
+def _isometric_frames(T, tol):
+    """canonical_frames of T's isometric part V, off T's own SVD: V keeps
+    T's leading singular triples whose 1 - sigma^2 the PSD policy zeroes."""
+    r = np.count_nonzero(_psd_eigenvalues(1.0 - T.row_svd[1] ** 2, tol) == 0.0)
+    return _frames_past(T.row_svd, r, tol)
 
 
 def defect_point(T, tol=DEFAULT_TOL):
     """The pure contraction -gamma0* T gammaInf against V's canonical frames."""
-    frames = canonical_frames(_isometric_part(T, tol), tol)
+    frames = _isometric_frames(T, tol)
     return -frames.gamma0.conj().T @ T.row() @ frames.gammaInf
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncdbr import RowContraction, sample_ball_point
+from ncdbr import RowContraction, canonical_frames, reconstruct, sample_ball_point
 from ncdbr.numerics import psd_sqrt
 
 
@@ -32,6 +32,44 @@ def random_partial_isometry(seed, d, m, rank):
         )[0]
         row = W @ K.conj().T
     return RowContraction(tuple(row[:, j * m : (j + 1) * m] for j in range(d)))
+
+
+# (delta, theta) where G_1 of rotated_defect has an eigenvalue below the
+# PSD policy's cutoff although O_1 has rank 2
+SMALL_DEFECTS = [(1e-4, 1e-2), (1e-3, 1e-3), (1e-4, 1e-1)]
+
+
+def rotated_defect(delta, theta):
+    """R(theta) diag(sqrt(1 - delta^2), 1): D_T* has rank 1, with root delta."""
+    c, s = np.cos(theta), np.sin(theta)
+    return RowContraction((np.array([[c, -s], [s, c]]) @ np.diag([np.sqrt(1 - delta**2), 1.0]),))
+
+
+def cnc_grid():
+    """Row contractions whose D_T* has every rank from 0 to m: strict T at
+    row norms 0.3, 0.9 and 0.999, partial isometries V and the mixes
+    reconstruct(V, delta), Jordan blocks, and two non-CNC T, a unitary and
+    a unitary summed with a strict part."""
+    cases = [
+        random_contraction(seed, d, m, norm)
+        for seed, (d, m) in enumerate([(1, 3), (2, 3), (3, 2), (2, 5)])
+        for norm in (0.3, 0.9, 0.999)
+    ]
+    for d, m in [(1, 3), (2, 3), (3, 2)]:
+        for rank in range(1, m):
+            V = random_partial_isometry(20 * d + m + rank, d, m, rank)
+            frames = canonical_frames(V)
+            p, q = frames.gamma0.shape[1], frames.gammaInf.shape[1]
+            delta = np.random.default_rng(rank).standard_normal((p, q))
+            cases += [V, reconstruct(V, 0.5 * delta / np.linalg.norm(delta, 2))]
+    cases += [
+        RowContraction(tuple(np.eye(m, k=-1) / np.sqrt(d) for _ in range(d)))
+        for d in (1, 2)
+        for m in (2, 4, 6)
+    ]
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mixed = np.block([[flip, np.zeros((2, 1))], [np.zeros((1, 2)), 0.5 * np.eye(1)]])
+    return cases + [RowContraction((flip,)), RowContraction((mixed,))]
 
 
 def spy_decompositions(monkeypatch):

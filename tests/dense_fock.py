@@ -109,10 +109,10 @@ def word_route_report(T, N, tol=DEFAULT_TOL, seed=2024):
     against the Szego vectors' range-frame coordinates, with the same
     stacked probes, raises and messages."""
     space, O_N = _model_space(T, N, tol)
+    # the rank decision is O_N's own SVD; only the message names the span's floor
     if space.dim < T.m:
-        raise TruncationTooShort(
-            "rank O_N = %d is below m = %d at N = %d; raise N" % (space.dim, T.m, N)
-        )
+        floor = _cnc_report(T, _defect_star_frame(T, tol)[0], tol).stabilized_at
+        raise TruncationTooShort("N = %d < %d, where rank O_N reaches m" % (N, floor))
     F = space.range_frame
     p = space.ambient.coeff_dim
     sigma2 = 1.0 / space.gram.diagonal()

@@ -970,9 +970,10 @@ def test_char_fn_builds_canonical_frames_once(monkeypatch):
 
     monkeypatch.setattr(ncdbr.charfn, "canonical_frames", counted)
     monkeypatch.setattr(ncdbr.rowcontraction, "canonical_frames", counted)
+    # T's isometric frames are read off T's own SVD: no V, no frames of V
     T = random_contraction(2, 2, 3)
     B = char_fn(T)
-    assert len(calls) == 1
+    assert calls == []
     monkeypatch.undo()
     assert np.linalg.norm(B.at_zero() - defect_point(T), 2) < 1e-10
 
@@ -980,27 +981,28 @@ def test_char_fn_builds_canonical_frames_once(monkeypatch):
 @pytest.mark.parametrize("rank", [0, 1, 2])
 def test_builds_read_the_row_svd_of_t(monkeypatch, rank):
     # char_fn, popescu_char and cnc_rank read T's defects, split and frames
-    # off the SVD that T took when it was built.  The isometric part V
-    # takes its own SVD when it is built, and the pure part C is not built;
-    # nothing is rooted by psd_sqrt or eigh, and nothing else decomposes
-    # T's row, its Grams or its defects.  D_T* itself is decomposed only by
-    # popescu_char, whose output frame is orthonormal_range(D_T*).
+    # off the SVD that T took when it was built: char_fn and defect_point
+    # decompose nothing, no contraction is built, so no __post_init__
+    # takes an SVD; nothing is rooted by psd_sqrt or
+    # eigh, and nothing else decomposes T's row, its Grams or its defects.
+    # D_T* itself is decomposed only by popescu_char, whose output frame is
+    # orthonormal_range(D_T*).
     V = random_partial_isometry(70 + rank, 2, 3, rank)
     frames = canonical_frames(V)
     shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
     rng = np.random.default_rng(70 + rank)
     delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     T = reconstruct(V, 0.6 * delta / np.linalg.norm(delta, 2))
-    V_row = iso_pure_decompose(T).V.row()
     D_Tstar = defects(T)[1]
     calls = spy_decompositions(monkeypatch)
     char_fn(T)
+    defect_point(T)
+    assert calls == []
     char_fn_partial_isometry(V)
     cnc_rank(T)
     own = len(calls)
     popescu_char(T)
-    constructed = [A for _, A, caller in calls if caller == "__post_init__"]
-    assert len(constructed) == 1 and np.array_equal(constructed[0], V_row)
+    assert [caller for _, _, caller in calls if caller == "__post_init__"] == []
     assert not [name for name, _, _ in calls if name in ("psd_sqrt", "eigh")]
     assert not any(decomposes_row(A, T) for _, A, c in calls if c != "__post_init__")
     assert not any(same_matrix(A, D_Tstar) for _, A, _ in calls[:own])

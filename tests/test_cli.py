@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_contraction
+from conftest import SMALL_DEFECTS, random_contraction, rotated_defect
 import ncdbr.cli as cli_module
 from ncdbr.cli import COMMANDS, build_parser, main
 
@@ -154,6 +154,28 @@ def test_model_verify_nilpotent_jordan(tmp_path, capsys):
     assert report["results"]["rank_O_N"] == 6
     code, _ = run(["model-verify", "--input", str(path), "--max-len", "3"], capsys)
     assert code == 2
+
+
+def test_model_verify_rejects_negative_max_len(scalar_file, capsys):
+    # stabilized_at >= 0, so a negative N is input error and gets no report
+    code = main(["model-verify", "--input", scalar_file, "--max-len", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "N = -3 < 0" in captured.err
+
+
+@pytest.mark.parametrize("delta, theta", SMALL_DEFECTS)
+def test_default_model_verify_starts_past_the_span_floor(delta, theta, tmp_path, capsys):
+    # stabilized_at = 1 = max(1, m - 1) for these T, whose G_1 has an
+    # eigenvalue below the PSD cutoff: the first N must not raise.  The
+    # residuals still miss the gate at MAX_FOCK_N, so the run exits 1
+    T = rotated_defect(delta, theta)
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps({"ops": [matrix_json(op) for op in T.ops]}))
+    code, report = run(["model-verify", "--input", str(path)], capsys)
+    assert code == 1
+    assert report["results"]["N"] == cli_module.MAX_FOCK_N
+    assert report["results"]["rank_O_N"] == 2
 
 
 def test_poly_eval_command(tmp_path, capsys):

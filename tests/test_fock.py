@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SMALL_DEFECTS,
+    cnc_grid,
     decomposes_row,
     random_contraction,
     random_partial_isometry,
+    rotated_defect,
     same_matrix,
     spy_decompositions,
 )
@@ -378,8 +381,8 @@ def test_model_verify_rejects_non_cnc():
 def test_model_verify_roots_one_defect(monkeypatch, d, m):
     # the CNC check and the model space share one frame of Ran D_T*, read
     # off the SVD that T took when it was built: nothing is rooted, no eigh
-    # runs, and neither T's row nor D_T* itself is decomposed; the rank
-    # comes from one eigvalsh of the m x m Gram G_N
+    # runs, and neither T's row nor D_T* itself is decomposed; one eigvalsh
+    # of the m x m Gram G_N gives frame_residual
     T = random_contraction(40 + d, d, m, norm=0.8)
     D_Tstar = defects(T)[1]
     calls = spy_decompositions(monkeypatch)
@@ -418,9 +421,39 @@ def test_model_verify_nilpotent_jordan(d, m):
 
 
 def test_model_verify_rejects_short_truncation():
-    # O_3 of J_6 spans e_1..e_4 only
-    with pytest.raises(TruncationTooShort, match="rank O_N = 4 .* N = 3"):
+    # O_3 of J_6 spans e_1..e_4 only; O_N first spans C^6 at N = 5
+    with pytest.raises(TruncationTooShort, match="N = 3 < 5, "):
         model_verify(RowContraction((jordan(6),)), 3)
+
+
+def test_model_verify_rejects_negative_truncation():
+    # stabilized_at is at least 0, so no N < 0 passes
+    with pytest.raises(TruncationTooShort, match="N = -1 < 0, "):
+        model_verify(RowContraction((np.array([[0.5]]),)), -1)
+
+
+@pytest.mark.parametrize("delta, theta", SMALL_DEFECTS)
+def test_model_verify_at_the_span_floor_of_a_small_defect(delta, theta):
+    # Ran D_T* and T Ran D_T* span C^2, so stabilized_at = 1, though the
+    # smallest eigenvalue of G_1 is below the PSD policy's cutoff
+    T = rotated_defect(delta, theta)
+    assert cnc_rank(T).stabilized_at == 1
+    rep = model_verify(T, 1)
+    assert rep["rank_O_N"] == rep["model_dim"] == 2
+    assert all(np.isfinite(rep[key]) for key in rep)
+
+
+def test_model_verify_raises_exactly_below_the_span_floor():
+    # TruncationTooShort iff N < stabilized_at, on the CNC grid and the
+    # small defects at every N = 0..m, and on the cross-route cases at their N
+    grid = cnc_grid() + [rotated_defect(*args) for args in SMALL_DEFECTS]
+    cases = [(T, N) for T in grid if cnc_rank(T).is_cnc for N in range(T.m + 1)]
+    for T, N in cases + _cross_route_cases():
+        if N < cnc_rank(T).stabilized_at:
+            with pytest.raises(TruncationTooShort):
+                model_verify(T, N)
+        else:
+            assert model_verify(T, N)["rank_O_N"] == T.m
 
 
 def looped_kernel_residual(space, X, seed):

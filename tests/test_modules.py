@@ -74,3 +74,28 @@ def test_private_functions_have_callers():
                 if node.name not in elsewhere | _referenced_names(tree, {node}):
                     orphans.append("%s.%s" % (name, node.name))
     assert orphans == []
+
+
+def _callers(name):
+    """The module.function names of the top-level functions and classes in
+    the package that call name, as a bare name or as an attribute."""
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                        callers.add("%s.%s" % (path.stem, getattr(node, "name", "<module>")))
+    return callers
+
+
+def test_contractions_are_built_in_one_place():
+    # one SVD per contraction: a RowContraction takes its SVD when it is
+    # built, so only the two functions that return a new contraction build
+    # one, through _from_row, and the CLI builds the one it loads
+    assert _callers("_from_row") == {
+        "rowcontraction.iso_pure_decompose",
+        "rowcontraction.reconstruct",
+    }
+    assert _callers("RowContraction") == {"rowcontraction._from_row", "cli.load_contraction"}

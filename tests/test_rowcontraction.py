@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_contraction, random_partial_isometry
+from conftest import cnc_grid, random_contraction, random_partial_isometry
 from ncdbr.charfn import char_fn_partial_isometry
 from ncdbr.errors import (
     DimensionMismatch,
@@ -26,6 +26,7 @@ from ncdbr.numerics import (
 from ncdbr.rowcontraction import (
     RowContraction,
     _defect_star_frame,
+    _isometric_frames,
     canonical_frames,
     cnc_rank,
     defect_point,
@@ -123,27 +124,7 @@ def test_cnc_rank_spans_only_below_full_defect_rank(monkeypatch):
         "stabilized_span",
         lambda ops, seed, tol: spans.append(seed.shape[1]) or stabilized_span(ops, seed, tol),
     )
-    cases = [
-        random_contraction(seed, d, m, norm)
-        for seed, (d, m) in enumerate([(1, 3), (2, 3), (3, 2), (2, 5)])
-        for norm in (0.3, 0.9, 0.999)
-    ]
-    for d, m in [(1, 3), (2, 3), (3, 2)]:
-        for rank in range(1, m):
-            V = random_partial_isometry(20 * d + m + rank, d, m, rank)
-            frames = canonical_frames(V)
-            p, q = frames.gamma0.shape[1], frames.gammaInf.shape[1]
-            delta = np.random.default_rng(rank).standard_normal((p, q))
-            cases += [V, reconstruct(V, 0.5 * delta / np.linalg.norm(delta, 2))]
-    cases += [
-        RowContraction(tuple(np.eye(m, k=-1) / np.sqrt(d) for _ in range(d)))
-        for d in (1, 2)
-        for m in (2, 4, 6)
-    ]
-    # not CNC: a unitary, and a unitary summed with a strict part
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    mixed = np.block([[flip, np.zeros((2, 1))], [np.zeros((1, 2)), 0.5 * np.eye(1)]])
-    cases += [RowContraction((flip,)), RowContraction((mixed,))]
+    cases = cnc_grid()
     for T in cases:
         spans.clear()
         rep = cnc_rank(T)
@@ -416,3 +397,37 @@ def test_canonical_frames_keep_ties_under_round_off():
         U = (Q * np.exp(1e-13j * w)) @ Q.conj().T
         conjugated = RowContraction(tuple(U @ Vj @ U.conj().T for Vj in V.ops))
         assert np.linalg.norm(canonical_frames(conjugated).gammaInf - want, 2) <= 1e-10
+
+
+def _frame_cases():
+    """Random T at row norms 0.3, 0.9, 0.999 and 1.0, partial isometries V
+    of every rank and the mixes reconstruct(V, delta)."""
+    cases = []
+    for d in (1, 2, 3):
+        for m in (1, 2, 3, 4, 6):
+            cases += [
+                random_contraction(seed, d, m, norm)
+                for seed in (1, 2, 3)
+                for norm in (0.3, 0.9, 0.999, 1.0)
+            ]
+            for rank in range(m + 1):
+                V = random_partial_isometry(10 * d + m + rank, d, m, rank)
+                frames = canonical_frames(V)
+                shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
+                delta = np.random.default_rng(rank).standard_normal(shape)
+                cases += [V, reconstruct(V, 0.5 * delta / max(1.0, np.linalg.norm(delta)))]
+    return cases
+
+
+def test_isometric_frames_are_the_canonical_frames_of_v():
+    # the frames of T's isometric part read off T's own SVD span the same
+    # subspaces as V's, and subspace_stable_basis picks one basis of each;
+    # a strict T has r = 0, where both sides are identities
+    for T in _frame_cases():
+        got = _isometric_frames(T, DEFAULT_TOL)
+        want = canonical_frames(iso_pure_decompose(T).V)
+        for a, b in ((got.gamma0, want.gamma0), (got.gammaInf, want.gammaInf)):
+            assert a.shape == b.shape
+            if got.gamma0.shape[1] == T.m:
+                assert np.array_equal(a, b)
+            assert np.linalg.norm(a - b) <= 1e-13
