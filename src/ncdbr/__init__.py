@@ -1,7 +1,7 @@
 """Numerical toolkit for non-commutative de Branges-Rovnyak models of
 row contractions: characteristic functions, NC kernels, operator Moebius
-and Frostman transforms, state-space realizations, and a truncated
-Fock-space model."""
+and Frostman transforms, state-space realizations, and the model theorem
+checked in T's own m x m coordinates."""
 
 from .charfn import (
     SchurSampler,
@@ -18,14 +18,7 @@ from .charfn import (
     weak_coincidence_fit,
     xi_map,
 )
-from .fock import (
-    DbrSpace,
-    TruncatedFock,
-    dbr_space,
-    gleason_extremal,
-    kernel_vector,
-    model_verify,
-)
+from .fock import model_verify
 from .freepoly import FreePolyAst, eval_poly, format_poly, parse_poly
 from .kernels import ad_map, cp_check, dbr_kernel, szego_kernel, szego_series
 from .ncspace import (

@@ -2,8 +2,13 @@
 
 Each command reads JSON inputs, runs seeded experiments over sampled
 ball points, and writes a JSON report with residuals and verdicts.
-Exit codes: 0 when all verdicts pass, 1 on a verdict failure, 2 on
-malformed or invalid input.
+
+Exit codes:
+    0  every verdict passed
+    1  a verdict failed
+    2  malformed or invalid input, or a typed NcdbrError
+    3  any other exception, reported on one stderr line as
+       "internal error: <Type>: <message>"
 """
 
 import argparse
@@ -265,6 +270,9 @@ def main(argv=None):
     except (OSError, ValueError, KeyError, json.JSONDecodeError, NcdbrError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
     report = {
         "command": args.command,
         "inputs": {"path": args.input, "sha256": digest},

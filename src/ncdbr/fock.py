@@ -1,179 +1,24 @@
-"""Truncated free Hardy space: operator-range de Branges-Rovnyak spaces,
-extremal Gleason solutions, and the numerical verification of the model
-theorem.
+"""The model theorem checked in T's own m x m coordinates.
 
-Vectors of the truncated space are stored word-major with the coefficient
-space as the fast index: entry (w, c) sits at position
-word_index(w) * coeff_dim + c.
+The model space H(B_T) of a CNC row contraction T is the image of the NC
+resolvent h -> D_T* [I - Z T*]^(-1) h.  Its truncation O_N has block
+F_out* D_T* (T*)^w at the word w, and I - B_L B_L* = O_N O_N* for the
+truncated multiplier B_L of T's Julia colligation (Ball, Bolotnikov and
+Fang).  So model_verify reads every field of its report off the m x m Gram
+G_N = O_N* O_N and the 2m x 2m pencils of its kernel probes, and no array
+grows with the d^N words.
 """
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCNC, NotContraction, TruncationTooShort
-from .ncspace import _kron_sum, sample_ball_point, words_up_to
-from .numerics import DEFAULT_TOL, _as_complex, _fix_column_phases, _psd_eigenvalues
+from .errors import NotCNC, TruncationTooShort
+from .ncspace import _kron_sum, sample_ball_point
+from .numerics import DEFAULT_TOL
 from .rowcontraction import _cnc_report, _defect_star_frame
 
-__all__ = [
-    "TruncatedFock",
-    "DbrSpace",
-    "dbr_space",
-    "gleason_extremal",
-    "kernel_vector",
-    "eval_vector",
-    "model_verify",
-]
-
-
-@dataclass(frozen=True)
-class TruncatedFock:
-    """Finite section of the free Hardy space over words of length <= N,
-    tensored with a coefficient space."""
-
-    d: int
-    N: int
-    coeff_dim: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.N < 0 or self.coeff_dim < 0:
-            raise DimensionMismatch("invalid truncated Fock parameters")
-
-    @cached_property
-    def words(self):
-        """The words of length <= N in graded-lex order, built on first use."""
-        return tuple(words_up_to(self.d, self.N))
-
-    @cached_property
-    def word_index(self):
-        return {w.letters: i for i, w in enumerate(self.words)}
-
-    @property
-    def num_words(self):
-        return sum(self.d**k for k in range(self.N + 1))
-
-    @property
-    def total_dim(self):
-        return self.num_words * self.coeff_dim
-
-
-def _word_blocks(first, ops, N):
-    """Stack of first @ ops^w over the words w of length <= N in graded-lex
-    order, one level at a time: block(w j) = block(w) @ ops[j]."""
-    ops = np.stack([np.asarray(A, dtype=complex) for A in ops])
-    level = np.asarray(first, dtype=complex)[None]
-    levels = [level]
-    for _ in range(N):
-        level = (level[:, None] @ ops).reshape(len(level) * len(ops), *level.shape[1:])
-        levels.append(level)
-    return np.concatenate(levels)
-
-
-@dataclass(frozen=True)
-class DbrSpace:
-    """Operator-range space Ran (I - B(L) B(L)*)^(1/2) on the truncation.
-
-    range_frame holds the ambient-orthonormal eigenvectors of I - B(L) B(L)*
-    for its kept eigenvalues w; gram = diag(1/w) is their operator-range Gram
-    matrix, which defines the space's inner product <a, b> = a* gram b.
-    """
-
-    ambient: TruncatedFock
-    range_frame: np.ndarray
-    gram: np.ndarray
-
-    @property
-    def dim(self):
-        return self.range_frame.shape[1]
-
-    def inner(self, a, b):
-        return complex(a.conj() @ self.gram @ b)
-
-
-def _space(ambient, w, Q, tol):
-    """The space of the ascending eigenpairs (w, Q) of I - B(L) B(L)*: an
-    eigenvector q_k is (I - B(L) B(L)*)^(1/2) q_k / sqrt(w_k), of
-    operator-range norm 1/sqrt(w_k)."""
-    w = _psd_eigenvalues(w, tol)
-    keep = w > 0.0
-    frame = _fix_column_phases(Q[:, keep], tol)
-    return DbrSpace(ambient=ambient, range_frame=frame, gram=np.diag(1 / w[keep]))
-
-
-def dbr_space(B_L, ambient, tol=DEFAULT_TOL):
-    """Build the de Branges-Rovnyak space of a truncated multiplier from
-    one eigendecomposition I - B_L B_L* = Q diag(w) Q*."""
-    B_L = _as_complex(B_L)
-    if B_L.shape[0] != ambient.total_dim:
-        raise DimensionMismatch("multiplier rows must match the ambient dimension")
-    H = np.eye(B_L.shape[0]) - B_L @ B_L.conj().T
-    w, Q = np.linalg.eigh((H + H.conj().T) / 2.0)
-    # the smallest eigenvalue is 1 - ||B_L||^2
-    if w.size and 1.0 - w[0] > (1.0 + 1e-8) ** 2:
-        raise NotContraction("truncated multiplier is not contractive")
-    return _space(ambient, w, Q, tol)
-
-
-def gleason_extremal(space):
-    """The Gleason tuple X whose adjoints are the restricted right
-    backward shifts, in range-frame coordinates.
-
-    X_j* is the compression of R_j* (x) I to the space; X_j is its adjoint
-    in the operator-range inner product.
-    """
-    f = space.ambient
-    F = space.range_frame
-    p = f.coeff_dim
-    # R_j* sends the word v j, at word index 1 + d index(v) + j - 1, to v
-    inner = (f.num_words - 1) // f.d
-    parents = F[: inner * p].conj().T
-    children = F[p:].reshape(inner, f.d, p, space.dim)
-    # gram is diag(1/w), so X_j = diag(w) Xstar_j* diag(1/w)
-    w = 1.0 / space.gram.diagonal()
-    X = []
-    for j in range(f.d):
-        Xstar = parents @ children[:, j].reshape(inner * p, space.dim)
-        X.append(w[:, None] * Xstar.conj().T / w)
-    return X
-
-
-def kernel_vector(space, Z, g, x, u):
-    """Truncated kernel vector K^B{Z, g (x) x, u} = (I - B(L) B(L)*) s of
-    the space, with s the Szego vector, computed as F diag(w) F* s.
-
-    Its operator-range inner product against f in the space reproduces
-    <g (x) x, f(Z) u> up to the truncation tail.
-    """
-    p = space.ambient.coeff_dim
-    x, u = (np.broadcast_to(np.asarray(v, dtype=complex), (1, p, Z.n)) for v in (x, u))
-    coords = _kernel_coords(space, np.stack(Z.coords)[None], x, u)[0]
-    return space.range_frame @ (coords @ np.asarray(g, dtype=complex))
-
-
-def _kernel_coords(space, Z, x, u):
-    """Range-frame coordinates diag(w) F* s_g of the kernel vectors
-    K^B{Z^i, e_g (x) x_g^i, u_g^i} at k stacked points Z of shape
-    (k, d, n, n), with x and u of shape (k, p, n): one (dim, p) block per
-    point, a column per output basis vector e_g.  One Szego recursion runs
-    over the rows conj(x_g^i) of all k points: the Szego vector s_g has
-    coefficient conj(x_g* Z^w u_g) at (w, g)."""
-    f = space.ambient
-    rows = _word_blocks(np.conj(x), Z.swapaxes(0, 1), f.N)
-    coeffs = np.einsum("wign,ign->wig", rows, u).conj()
-    F = space.range_frame.reshape(f.num_words, f.coeff_dim, space.dim)
-    return np.einsum("wgc,wig->icg", F.conj(), coeffs) / space.gram.diagonal()[:, None]
-
-
-def eval_vector(vec, f, Z):
-    """Evaluate an ambient vector as a function at a level-n point.
-
-    Returns the (coeff_dim * n) x n matrix sum_w kron(Z^w, f_w).
-    """
-    powers = _word_blocks(np.eye(Z.n), Z.coords, f.N)
-    coeffs = np.asarray(vec, dtype=complex).reshape(f.num_words, f.coeff_dim)
-    return np.einsum("wab,wk->akb", powers, coeffs).reshape(f.coeff_dim * Z.n, Z.n)
+__all__ = ["model_verify"]
 
 
 # the levels of model_verify's kernel probes, one point each

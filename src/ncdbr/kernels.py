@@ -81,7 +81,8 @@ def dbr_kernel(B, Z, W, P):
 def cp_check(B, Z, threshold=-1e-9):
     """Assemble the Choi block matrix of the kernel at (Z, Z) over matrix
     units of C^n and report its minimal eigenvalue; psd iff above the
-    absolute threshold.
+    absolute threshold.  A B with output dimension 0 has an empty Choi
+    matrix, reported as (None, True).
 
     Block (p, q) is dbr_kernel(B, Z, Z, E_pq).  The column-major vec of E_pq
     is e_{p+qn}, so one inverse of the Szego system gives every kernel value
@@ -98,5 +99,8 @@ def cp_check(B, Z, threshold=-1e-9):
     choi = np.einsum("ikpq,ac->piaqkc", K, np.eye(o)) - BKB
     choi = choi.reshape(n * n * o, n * n * o)
     choi = (choi + choi.conj().T) / 2.0
+    if not choi.size:
+        # an empty Choi matrix is PSD and has no eigenvalue
+        return None, True
     min_eig = float(np.linalg.eigvalsh(choi)[0])
     return min_eig, min_eig >= threshold

@@ -14,7 +14,6 @@ functions and the kernel systems.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "conjugate",
     "sample_ball_point",
     "word_apply",
-    "words_up_to",
     "zero_tuple",
     "coeff_lift",
     "pencil_tz_star",
@@ -159,15 +157,6 @@ def word_apply(ops, w):
         if i > len(ops):
             raise DimensionMismatch("word letter %d exceeds tuple length" % i)
         out = out @ ops[i - 1]
-    return out
-
-
-def words_up_to(d, N):
-    """All free words of length <= N in graded lexicographic order."""
-    out = []
-    for k in range(N + 1):
-        for letters in product(range(1, d + 1), repeat=k):
-            out.append(FreeWord(letters))
     return out
 
 

@@ -124,6 +124,21 @@ def test_kernel_psd_command(contraction_file, capsys):
     assert all(p["min_eig"] > -1e-9 for p in report["results"]["points"])
 
 
+@pytest.mark.parametrize(
+    "ops",
+    [[[[0.0, 1.0], [1.0, 0.0]]], [np.eye(3) / np.sqrt(2)] * 2],
+    ids=["flip", "halves"],
+)
+def test_kernel_psd_on_coisometry(ops, tmp_path, capsys):
+    # B_T has output dimension 0: every kernel is empty and PSD
+    path = tmp_path / "V.json"
+    path.write_text(json.dumps({"ops": [matrix_json(op) for op in ops]}))
+    code, report = run(["kernel-psd", "--input", str(path), "--points", "3"], capsys)
+    assert code == 0
+    assert report["verdicts"]["kernel_psd"]
+    assert all(p["min_eig"] is None and p["psd"] for p in report["results"]["points"])
+
+
 def test_frostman_command(contraction_file, capsys):
     code, report = run(
         ["frostman", "--input", contraction_file, "--points", "4", "--radius", "0.5"], capsys
@@ -223,6 +238,18 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     assert main(["cnc-check", "--input", str(wrong)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err
+
+
+def test_unexpected_exception_exits_three(scalar_file, capsys, monkeypatch):
+    # an exception outside the typed set is the tool's fault, not a verdict
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(COMMANDS, "cnc-check", (broken, ()))
+    assert main(["cnc-check", "--input", scalar_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_non_finite_entry_exits_two(tmp_path, capsys):

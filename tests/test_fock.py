@@ -14,31 +14,28 @@ from conftest import (
     spy_decompositions,
 )
 from dense_fock import (
-    _model_space,
-    mult_operator,
-    shifts,
-    transpose_unitary,
-    word_route_report,
-)
-from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
-from ncdbr.fock import (
     TruncatedFock,
     _kernel_coords,
-    _kernel_probes,
+    _model_space,
     _word_blocks,
     dbr_space,
     eval_vector,
     gleason_extremal,
     kernel_vector,
-    model_verify,
+    mult_operator,
+    shifts,
+    transpose_unitary,
+    word_route_report,
+    words_up_to,
 )
+from ncdbr.errors import DimensionMismatch, NotCNC, TruncationTooShort
+from ncdbr.fock import _kernel_probes, model_verify
 from ncdbr.ncspace import (
     FreeWord,
     MatrixTuple,
     pencil_tz_star,
     sample_ball_point,
     word_apply,
-    words_up_to,
 )
 from ncdbr.numerics import DEFAULT_TOL, orthonormal_range, psd_sqrt
 from ncdbr.realization import taylor_coeff
@@ -118,7 +115,7 @@ def test_dbr_space_of_zero_multiplier_is_full():
     assert space.dim == f.total_dim
     # inner product reduces to the ambient one
     a = np.arange(1.0, f.total_dim + 1.0) + 0j
-    assert abs(space.inner(a, a) - np.vdot(a, a)) < 1e-10
+    assert abs(a.conj() @ space.gram @ a - np.vdot(a, a)) < 1e-10
     # kernel vectors reduce to untruncated Szego vectors
     Z = sample_ball_point(1, 1, 0.5, 3)
     g = np.ones(1)
@@ -335,7 +332,7 @@ def test_kernel_vector_reproduces_evaluation():
     r = 0.4
     Z = sample_ball_point(2, 1, r, 9)
     kv = kernel_vector(space, Z, np.ones(1), np.ones(1), np.ones(1))
-    lhs = space.inner(kv, vec)
+    lhs = kv.conj() @ space.gram @ vec
     rhs = complex(eval_vector(vec, f, Z)[0, 0])
     assert abs(lhs - rhs) < 10 * r ** (f.N + 1)
 

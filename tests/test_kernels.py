@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_contraction
-from ncdbr import char_fn
+from ncdbr import RowContraction, char_fn
 from ncdbr.charfn import SchurSampler
 from ncdbr.errors import DimensionMismatch, NearBoundary
 from ncdbr.kernels import (
@@ -88,6 +88,23 @@ def test_cp_check_psd_and_negative_control():
     Zb = sample_ball_point(1, 2, 0.8, 7)
     min_eig, ok = cp_check(bad, Zb)
     assert not ok and min_eig < -1e-6
+
+
+COISOMETRIES = {
+    "flip": (np.array([[0.0, 1.0], [1.0, 0.0]]),),
+    "halves": (np.eye(3) / np.sqrt(2), np.eye(3) / np.sqrt(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COISOMETRIES))
+def test_cp_check_on_coisometry_is_empty_and_psd(name):
+    # B_T of a coisometric T has output dimension 0, so the Choi matrix is
+    # 0 x 0: PSD, with no eigenvalue to report
+    ops = COISOMETRIES[name]
+    B = char_fn(RowContraction(ops))
+    assert B.output_dim == 0
+    for n in (1, 2):
+        assert cp_check(B, sample_ball_point(len(ops), n, 0.5, 7)) == (None, True)
 
 
 def test_cp_check_evaluates_sampler_once():

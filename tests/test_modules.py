@@ -1,6 +1,7 @@
-"""Static checks of the library modules: every imported name is used,
-every name in __all__ is defined at the module's top level, and every
-private top-level function has a caller in the package."""
+"""Static checks of the library modules: every imported name is used (in
+the tests' dense oracle too), every name in __all__ is defined at the
+module's top level, and every private top-level function has a caller in
+the package."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ncdbr"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# the tests' word-space oracle imports the library's private helpers, so it
+# is held to the same import check
+ORACLE = Path(__file__).resolve().parent / "dense_fock.py"
 
 
 def _top_level_names(tree):
@@ -31,7 +35,7 @@ def _exports(tree):
     return []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + [ORACLE], ids=lambda path: path.name)
 def test_imports_are_used_and_exports_are_defined(path):
     tree = ast.parse(path.read_text())
     imported = {

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_fock import words_up_to
 from ncdbr import ncspace
 from ncdbr.errors import DimensionMismatch, NotFinite, SingularSimilarity
 from ncdbr.ncspace import (
@@ -18,7 +19,6 @@ from ncdbr.ncspace import (
     row_norm,
     sample_ball_point,
     word_apply,
-    words_up_to,
     zero_tuple,
 )
 

@@ -3,6 +3,7 @@ import pytest
 
 import ncdbr.realization as realization_module
 from conftest import random_contraction
+from dense_fock import words_up_to
 from ncdbr.errors import DimensionMismatch, SingularPencil
 from ncdbr.ncspace import (
     MatrixTuple,
@@ -10,7 +11,6 @@ from ncdbr.ncspace import (
     point_block,
     sample_ball_point,
     word_apply,
-    words_up_to,
 )
 from ncdbr.numerics import DEFAULT_TOL, _ill_condition, orthonormal_range
 from ncdbr.realization import (

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cnc_grid, random_contraction, random_partial_isometry
+from dense_fock import TruncatedFock, dbr_space
 from ncdbr.charfn import char_fn_partial_isometry
 from ncdbr.errors import (
     DimensionMismatch,
@@ -15,7 +16,6 @@ from ncdbr.errors import (
     NotPartialIsometry,
     NotPure,
 )
-from ncdbr.fock import TruncatedFock, dbr_space
 from ncdbr.numerics import (
     DEFAULT_TOL,
     _defect_roots,
