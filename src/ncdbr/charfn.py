@@ -28,10 +28,11 @@ from .ncspace import (
     sample_ball_point,
     zero_tuple,
 )
-from .numerics import DEFAULT_TOL, _as_complex, _defect_roots, _svd_rank
+from .numerics import DEFAULT_TOL, _as_complex, _defect_roots, _isometric, _svd_rank
 from .numerics import orthonormal_range
 from .realization import Colligation, _check_pencil, transfer_eval, transfer_values
-from .rowcontraction import _isometric_frames, canonical_frames, julia_matrix
+from .rowcontraction import _check_partial_isometry, _isometric_frames, julia_matrix
+from .rowcontraction import canonical_frames
 
 __all__ = [
     "SchurSampler",
@@ -134,17 +135,13 @@ def _julia_compression(julia, F_in, F_out, tol, tag):
 
 
 def char_fn_partial_isometry(V, tol=DEFAULT_TOL):
-    """Characteristic function B_V of a row partial isometry: char_fn at
-    T = V, where delta = 0, so that the compressed colligation is
-    (A_j = V_j^*, B_j = the j-th block of gammaInf, C = gamma0*, D = 0) up
-    to round-off.  The paper's denominator gamma0* [I - Z V^*]^{-1} gamma0
-    is the identity, since V_j^* gamma0 = 0 for every j.  B_V(0) is the
-    feedthrough -gamma0* V gammaInf: 0 for an exact partial isometry, but
-    the partial-isometry check lets singular values of about 1e-4 pass as
-    zeros, so it can reach about 1e-5 (V = 1e-5 X for a unitary X).
-    """
-    frames = canonical_frames(V, tol)
-    return _julia_compression(julia_matrix(V, tol), frames.gammaInf, frames.gamma0, tol, "char_fn")
+    """Characteristic function B_V of a row partial isometry: the check, then
+    char_fn(V).  At delta = 0 the colligation is (V_j^*, blocks of gammaInf,
+    gamma0*, 0) up to round-off: V_j^* gamma0 = 0 makes the paper's denominator
+    gamma0* [I - Z V^*]^{-1} gamma0 the identity.  ||B_V(0)|| is V's largest
+    non-isometric singular value, at most eq_abs."""
+    _check_partial_isometry(V, tol)
+    return char_fn(V, tol)
 
 
 def char_fn(T, tol=DEFAULT_TOL):
@@ -180,10 +177,10 @@ def popescu_char(T, tol=DEFAULT_TOL):
 
 def _moebius_defects(alpha, tol):
     """(alpha, D_a, D_{a*}) from one SVD of the checked alpha.  D_a is invertible
-    only if 1 - ||alpha||^2 stays above rank_rel, where the PSD policy zeroes it."""
+    only if no singular value of alpha is isometric."""
     alpha = _as_complex(alpha)
     svd = np.linalg.svd(alpha)
-    if svd[1].size and 1.0 - svd[1][0] ** 2 <= tol.rank_rel:
+    if svd[1].size and _isometric(svd[1][0], tol):
         raise NotStrict("alpha must be a strict contraction")
     return (alpha, *_defect_roots(svd, tol))
 
@@ -429,7 +426,8 @@ def weak_coincidence_fit(B1, B2, fit_points, holdout_points, tol=1e-8, num_tol=D
 
 def pure_unitary_split(B, tol=DEFAULT_TOL, sample_points=None):
     """Split the coefficient spaces into the subspace where B is a unitary
-    constant and its pure complement.
+    constant, spanned by B(0)'s isometric singular pairs, and its pure
+    complement, zero padding too.
 
     Returns ((pure_in, pure_out), (unitary_in, unitary_out)); raises
     ConstancyViolated when B fails to be constant on the detected
@@ -437,8 +435,7 @@ def pure_unitary_split(B, tol=DEFAULT_TOL, sample_points=None):
     """
     b0 = B.at_zero()
     U, s, Wh = np.linalg.svd(b0)
-    # sigma^2 = 1 up to 100 eq_abs is unitary; the rest, zero padding too, pure
-    unitary = np.flatnonzero(np.abs(s**2 - 1.0) <= 100 * tol.eq_abs)
+    unitary = np.flatnonzero(_isometric(s, tol))
     split = lambda Q: (Q[:, unitary], np.delete(Q, unitary, 1))
     uni_in, pure_in = split(Wh.conj().T)
     uni_out, pure_out = split(U)
@@ -449,6 +446,6 @@ def pure_unitary_split(B, tol=DEFAULT_TOL, sample_points=None):
     if uni_in.shape[1]:
         for Z in sample_points:
             diff = B(Z) @ coeff_lift(uni_in, Z.n) - coeff_lift(b0 @ uni_in, Z.n)
-            if np.linalg.norm(diff, 2) > 1e-9:
+            if np.linalg.norm(diff, 2) > 10.0 * tol.eq_abs:
                 raise ConstancyViolated("B is not constant on the unitary subspace")
     return (pure_in, pure_out), (uni_in, uni_out)

@@ -6,7 +6,8 @@ ball points, and writes a JSON report with residuals and verdicts.
 Exit codes:
     0  every verdict passed
     1  a verdict failed
-    2  malformed or invalid input, or a typed NcdbrError
+    2  malformed or invalid input, a typed NcdbrError, or a report that
+       cannot be written to --out or stdout, reported on one stderr line
     3  any other exception, reported on one stderr line as
        "internal error: <Type>: <message>"
 """
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -160,8 +162,7 @@ def cmd_roundtrip(args):
     T, digest = load_contraction(args.input)
     V = iso_pure_decompose(T).V
     frames = canonical_frames(V)
-    p = frames.gamma0.shape[1]
-    q = frames.gammaInf.shape[1]
+    p, q = frames.gamma0.shape[1], frames.gammaInf.shape[1]
     rng = np.random.default_rng(args.seed)
     delta = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
     if delta.size:
@@ -282,11 +283,15 @@ def main(argv=None):
         "wall_time_ms": round(1000.0 * (time.monotonic() - start), 3),
     }
     text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            print(text, file=fh, flush=True)
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # Python flushes stdout again at exit: send that to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: %s" % exc, file=sys.stderr)
+        return 2
     return 0 if all(verdicts.values()) else 1
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NearBoundary
 from .ncspace import _kron_sum, row_norm
+from .numerics import DEFAULT_TOL
 
 __all__ = [
     "ad_map",
@@ -78,10 +79,10 @@ def dbr_kernel(B, Z, W, P):
     return lifted_out - B(Z) @ lifted_in @ B(W).conj().T
 
 
-def cp_check(B, Z, threshold=-1e-9):
+def cp_check(B, Z):
     """Assemble the Choi block matrix of the kernel at (Z, Z) over matrix
-    units of C^n and report its minimal eigenvalue; psd iff above the
-    absolute threshold.  A B with output dimension 0 has an empty Choi
+    units of C^n and report its minimal eigenvalue; psd iff at least
+    -10 eq_abs.  A B with output dimension 0 has an empty Choi
     matrix, reported as (None, True).
 
     Block (p, q) is dbr_kernel(B, Z, Z, E_pq).  The column-major vec of E_pq
@@ -103,4 +104,4 @@ def cp_check(B, Z, threshold=-1e-9):
         # an empty Choi matrix is PSD and has no eigenvalue
         return None, True
     min_eig = float(np.linalg.eigvalsh(choi)[0])
-    return min_eig, min_eig >= threshold
+    return min_eig, min_eig >= -10.0 * DEFAULT_TOL.eq_abs

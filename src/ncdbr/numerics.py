@@ -93,6 +93,11 @@ def _psd_eigenvalues(w, tol):
     return w
 
 
+def _isometric(s, tol):
+    """The singular values s of a contraction that count as 1: the PSD policy zeroes 1 - s^2."""
+    return 1.0 - s**2 <= tol.rank_rel
+
+
 def _fix_column_phases(B, tol):
     """Make each column's first significant entry real positive.
 

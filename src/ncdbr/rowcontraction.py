@@ -11,6 +11,7 @@ from .errors import DimensionMismatch, NotContraction, NotFinite, NotPartialIsom
 from .numerics import (
     DEFAULT_TOL,
     _defect_roots,
+    _isometric,
     _psd_eigenvalues,
     stabilized_span,
     subspace_stable_basis,
@@ -55,7 +56,7 @@ class RowContraction:
             if not np.all(np.isfinite(T)):
                 raise NotFinite("operators contain NaN or Inf entries")
         svd = np.linalg.svd(np.hstack(ops))
-        if svd[1].size and svd[1][0] ** 2 > 1.0 + 1e-8:
+        if svd[1].size and 1.0 - svd[1][0] ** 2 < -100.0 * DEFAULT_TOL.eq_abs:
             raise NotContraction("row norm exceeds 1 beyond tolerance")
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "row_svd", svd)
@@ -126,11 +127,12 @@ def _defect_star_frame(T, tol):
 
 
 def iso_pure_decompose(T, tol=DEFAULT_TOL):
-    """Unique split T = V + C with V a row partial isometry and C pure: the
-    one builder of V, with C = T gammaInf gammaInf* for V's frames."""
-    gammaInf = _isometric_frames(T, tol).gammaInf
-    C = _from_row(T.row() @ gammaInf @ gammaInf.conj().T, T.d)
-    return IsoPureParts(V=_from_row(T.row() - C.row(), T.d), C=C)
+    """Unique split T = V + C, V a row partial isometry and C pure: V = U_r W_r*
+    from T's r isometric singular triples, so that every SVD of V counts r."""
+    U, s, Wh = T.row_svd
+    r = np.count_nonzero(_isometric(s, tol))
+    V = U[:, :r] @ Wh[:r]
+    return IsoPureParts(V=_from_row(V, T.d), C=_from_row(T.row() - V, T.d))
 
 
 def cnc_rank(T, tol=DEFAULT_TOL):
@@ -148,36 +150,26 @@ def _cnc_report(T, seed, tol):
 
 
 def _check_partial_isometry(V, tol):
-    # G = V*V has eigenvalues sigma^2, so ||G^2 - G|| = max |sigma^4 - sigma^2|
+    """Raise unless V's non-isometric singular values (its pure part's) are <= eq_abs."""
     s = V.row_svd[1]
-    defect = np.max(np.abs(s**4 - s**2), initial=0.0)
-    if defect > 100.0 * tol.eq_abs:
-        raise NotPartialIsometry("V*V fails idempotence by %.3e" % defect)
-
-
-def _frames_past(svd, r, tol):
-    """The spans of a row SVD's left and right singular vectors past its
-    first r, in bases that depend only on the spans, not on round-off."""
-    U, _, Wh = svd
-    stable = (subspace_stable_basis(F, tol) for F in (U[:, r:], Wh[r:].conj().T))
-    return CanonicalModelFrames(*stable)
+    stray = np.max(s[~_isometric(s, tol)], initial=0.0)
+    if stray > tol.eq_abs:
+        raise NotPartialIsometry("V has a singular value %.3e off {0, 1}" % stray)
 
 
 def canonical_frames(V, tol=DEFAULT_TOL):
-    """Deterministic isometries onto (Ran V)^perp and Ker V for a row
-    partial isometry V: its singular vectors past its one rank decision."""
+    """Deterministic isometries onto (Ran V)^perp and Ker V of a row partial isometry V."""
     _check_partial_isometry(V, tol)
-    # the check bounds sigma^2 |1 - sigma^2| by 100 eq_abs < 0.1, so each
-    # sigma^2 sits near 0 or near 1 and the rank counts sigma^2 > 1/2; a
-    # cutoff relative to sigma_max would count a V of tiny norm as full rank
-    return _frames_past(V.row_svd, int(np.count_nonzero(V.row_svd[1] ** 2 > 0.5)), tol)
+    return _isometric_frames(V, tol)
 
 
 def _isometric_frames(T, tol):
-    """canonical_frames of T's isometric part V, off T's own SVD: V keeps
-    T's leading singular triples whose 1 - sigma^2 the PSD policy zeroes."""
-    r = np.count_nonzero(_psd_eigenvalues(1.0 - T.row_svd[1] ** 2, tol) == 0.0)
-    return _frames_past(T.row_svd, r, tol)
+    """canonical_frames of T's isometric part: span-only bases of T's singular
+    vectors past its r isometric ones."""
+    U, s, Wh = T.row_svd
+    r = np.count_nonzero(_isometric(s, tol))
+    stable = (subspace_stable_basis(F, tol) for F in (U[:, r:], Wh[r:].conj().T))
+    return CanonicalModelFrames(*stable)
 
 
 def defect_point(T, tol=DEFAULT_TOL):

@@ -252,6 +252,36 @@ def test_unexpected_exception_exits_three(scalar_file, capsys, monkeypatch):
     assert captured.err == "internal error: RuntimeError: boom\n"
 
 
+def test_unwritable_out_exits_two(scalar_file, tmp_path, capsys):
+    # a report that cannot be written is an error of the invocation, not a
+    # failed verdict: one stderr line, nothing on stdout
+    out = tmp_path / "missing" / "r.json"
+    assert main(["cnc-check", "--input", scalar_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_closed_stdout_exits_two():
+    # the reader closes its end before the child writes: the child reports
+    # the broken pipe on one stderr line, and shutdown adds nothing to it
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    path = os.path.join(FIXTURES, "contraction_d2.json")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ncdbr.cli", "cnc-check", "--input", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 2
+    assert err.startswith("output error: ") and err.count("\n") == 1, err
+
+
 def test_non_finite_entry_exits_two(tmp_path, capsys):
     # json writes Infinity and NaN, and Python's json reads them back
     T = tmp_path / "T.json"

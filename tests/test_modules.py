@@ -103,3 +103,23 @@ def test_contractions_are_built_in_one_place():
         "rowcontraction.reconstruct",
     }
     assert _callers("RowContraction") == {"rowcontraction._from_row", "cli.load_contraction"}
+
+
+@pytest.mark.parametrize("name", ["rowcontraction.py", "charfn.py"])
+def test_comparison_cutoffs_come_from_the_tolerance(name):
+    # a float in a comparison is 0.0, 1.0 or part of an operand that reads
+    # a Tolerance field; a default argument is no comparison
+    stray = []
+    for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left] + node.comparators:
+                fields = {getattr(n, "attr", None) for n in ast.walk(operand)}
+                if not fields & {"eq_abs", "rank_rel"}:
+                    stray += [
+                        "line %d: %r" % (c.lineno, c.value)
+                        for c in ast.walk(operand)
+                        if isinstance(c, ast.Constant)
+                        and isinstance(c.value, float)
+                        and c.value not in (0.0, 1.0)
+                    ]
+    assert stray == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cnc_grid, random_contraction, random_partial_isometry
 from dense_fock import TruncatedFock, dbr_space
-from ncdbr.charfn import char_fn_partial_isometry
+from ncdbr.charfn import char_fn, char_fn_partial_isometry
 from ncdbr.errors import (
     DimensionMismatch,
     NcdbrError,
@@ -16,6 +16,7 @@ from ncdbr.errors import (
     NotPartialIsometry,
     NotPure,
 )
+from ncdbr.ncspace import sample_ball_point
 from ncdbr.numerics import (
     DEFAULT_TOL,
     _defect_roots,
@@ -327,6 +328,46 @@ def test_iso_pure_cutoff_is_the_psd_policy(d, m, k, seed):
             assert np.array_equal(parts.C.row(), T.row())
 
 
+def test_isometric_part_keeps_its_rank_past_the_split():
+    # 1 - sigma^2 = 9.9999619e-11 counts as isometric in T, and V's own SVD
+    # must count it too: canonical_frames and char_fn see one rank, and
+    # defect_point(V) = 0
+    Q = _unitary(np.random.default_rng(5), 2)
+    sigma = np.sqrt(1.0 - 9.9999619e-11)
+    V = iso_pure_decompose(RowContraction((Q @ np.diag([sigma, 0.5]) @ Q.conj().T,))).V
+    assert canonical_frames(V).gamma0.shape == (2, 1)
+    assert char_fn(V).at_zero().shape == char_fn_partial_isometry(V).at_zero().shape == (1, 1)
+    assert np.linalg.norm(defect_point(V)) <= DEFAULT_TOL.eq_abs
+
+
+NEAR_CUTOFF = st.lists(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(3.0, 16.0)), min_size=5, max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), NEAR_CUTOFF, st.integers(0, 10_000))
+def test_one_rule_decides_the_isometric_part_at_the_cutoff(d, m, k, near, seed):
+    # k singular values with 1 - sigma^2 = rank_rel (1 +- 10^-e), within
+    # round-off of the cutoff on either side: T's split, V's frames, B_V and
+    # the defect point round trip all count V's rank alike
+    k = min(k, m)
+    rng = np.random.default_rng(seed)
+    U, W = _unitary(rng, m), _unitary(rng, m * d)
+    gaps = np.array([DEFAULT_TOL.rank_rel * (1.0 + sign * 10.0**-e) for sign, e in near[:k]])
+    sigma = np.concatenate([np.sqrt(1.0 - gaps), rng.uniform(0.0, 0.9, m - k)])
+    V = iso_pure_decompose(_from_row((U * sigma) @ W[:, :m].conj().T, d)).V
+    frames = canonical_frames(V)
+    assert np.linalg.norm(defect_point(V)) <= DEFAULT_TOL.eq_abs
+    points = [sample_ball_point(d, n, 0.6, seed + n) for n in (1, 2)]
+    B, B_V = char_fn(V), char_fn_partial_isometry(V)
+    assert all(np.array_equal(B(Z), B_V(Z)) for Z in points)
+    shape = (frames.gamma0.shape[1], frames.gammaInf.shape[1])
+    delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    delta *= 0.7 / max(np.linalg.norm(delta, 2) if delta.size else 1.0, 1.0)
+    assert np.abs(defect_point(reconstruct(V, delta)) - delta).max(initial=0.0) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 5), st.integers(0, 10_000))
 def test_canonical_frames_sizes_from_one_rank(d, m, rank, seed):
@@ -371,16 +412,23 @@ def test_typed_errors_for_non_contractions_and_non_finite_input():
 
 
 def test_canonical_frames_rank_is_absolute():
-    # sigma^2 of 9e-10 and 1e-10 pass the partial-isometry check, so they
-    # count as zero singular values, not as rank relative to sigma_max
-    frames = canonical_frames(RowContraction((np.diag([1.0, 3e-5]),)))
-    assert frames.gamma0.shape == frames.gammaInf.shape == (2, 1)
+    # a singular value is isometric (1 - sigma^2 <= rank_rel) or part of
+    # V's pure part, which may not exceed eq_abs: 3e-5, 1e-5 and a sigma
+    # with sigma^2 = 1 - 1e-9 are rejected, and 1e-12 X counts as rank 0
+    # whatever sigma_max is, with ||B_V(0)|| <= eq_abs
     rng = np.random.default_rng(31)
     X = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-    tiny = RowContraction((1e-5 * X,))
+    for ops in (np.diag([1.0, 3e-5]), 1e-5 * X, np.diag([1.0, np.sqrt(1.0 - 1e-9)])):
+        with pytest.raises(NotPartialIsometry):
+            canonical_frames(RowContraction((ops,)))
+        with pytest.raises(NotPartialIsometry):
+            char_fn_partial_isometry(RowContraction((ops,)))
+    tiny = RowContraction((1e-12 * X,))
     frames = canonical_frames(tiny)
     assert frames.gamma0.shape == frames.gammaInf.shape == (2, 2)
-    assert char_fn_partial_isometry(tiny).at_zero().shape == (2, 2)
+    B_V = char_fn_partial_isometry(tiny)
+    assert B_V.at_zero().shape == (2, 2)
+    assert np.linalg.norm(B_V.at_zero(), 2) <= DEFAULT_TOL.eq_abs
 
 
 def test_canonical_frames_keep_ties_under_round_off():
